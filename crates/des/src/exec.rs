@@ -48,6 +48,23 @@
 //! This inline mode is also what makes epoch batching pay off on one core —
 //! bulk drains replace the per-pop bucket re-scans that dominate dense
 //! sharded runs.
+//!
+//! # Keys move, payloads stay put
+//!
+//! A payload is written exactly once, at schedule time, into a slab (a
+//! `Vec<Option<E>>` with a LIFO free list), and moved out exactly once, by
+//! the commit thread when its event executes. Everything in between — the
+//! mailboxes, the per-shard calendar queues, the drained batches with their
+//! sort and reversal, the overlay heap and the worker-channel messages —
+//! carries only a key: `(time, global seq, slot)`, 24–32 bytes instead of a
+//! ~200-byte radio delivery. Workers therefore never touch a payload, and a
+//! same-instant join burst of hundreds of thousands of deliveries costs one
+//! payload copy each instead of one per queue stage.
+//!
+//! Every queue decision — calendar resizes, width recalibrations, bucket
+//! scans, epoch frontiers — is a function of keys alone, so the pop stream
+//! and the queue telemetry are exactly those of an executor that carries
+//! whole events.
 
 use std::collections::BinaryHeap;
 use std::sync::mpsc;
@@ -69,48 +86,96 @@ const SPAN_SHRINK_ABOVE: usize = 4096;
 /// Upper bound on the span multiplier (2^16 lookahead windows per epoch).
 const SPAN_MAX_MULT: u64 = 1 << 16;
 
+/// A mailboxed event: `(time, global seq, slab slot)`.
+type MailKey = (SimTime, u64, u32);
+/// What a shard's calendar queue holds per event: `(global seq, slab slot)`.
+type QueueKey = (u64, u32);
+/// A drained event: `(time, (global seq, slab slot))`.
+type BatchKey = (SimTime, QueueKey);
+
+/// Payload storage: each event is written once by `insert` and moved out
+/// once by `take`. Vacated slots are reused newest-first, so the slab never
+/// grows past the peak pending count and reuse stays on warm cache lines.
+#[derive(Debug)]
+struct Slab<E> {
+    slots: Vec<Option<E>>,
+    free: Vec<u32>,
+}
+
+impl<E> Slab<E> {
+    fn with_capacity(cap: usize) -> Self {
+        Slab {
+            slots: Vec::with_capacity(cap),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, event: E) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                debug_assert!(self.slots[slot as usize].is_none(), "free slot occupied");
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len()).expect("over u32::MAX pending events");
+                self.slots.push(Some(event));
+                slot
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u32) -> E {
+        let event = self.slots[slot as usize]
+            .take()
+            .expect("event slot vacated twice");
+        self.free.push(slot);
+        event
+    }
+}
+
 /// A commit-phase schedule that landed inside the committed region: merged
 /// by `(time, gseq)` against the batch heads. Reverse ordering turns
 /// `BinaryHeap`'s max-heap into the min-heap the merge needs.
 #[derive(Debug)]
-struct OverlayEntry<E> {
+struct OverlayEntry {
     time: SimTime,
     gseq: u64,
     shard: usize,
-    event: E,
+    slot: u32,
 }
 
-impl<E> OverlayEntry<E> {
+impl OverlayEntry {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.gseq)
     }
 }
 
-impl<E> PartialEq for OverlayEntry<E> {
+impl PartialEq for OverlayEntry {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl<E> Eq for OverlayEntry<E> {}
-impl<E> PartialOrd for OverlayEntry<E> {
+impl Eq for OverlayEntry {}
+impl PartialOrd for OverlayEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<E> Ord for OverlayEntry<E> {
+impl Ord for OverlayEntry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         other.key().cmp(&self.key())
     }
 }
 
 /// Commit thread → worker messages.
-enum ToWorker<E> {
+enum ToWorker {
     /// Insert the mailbox batches (one per owned shard, parallel to the
     /// worker's shard list), then drain each owned shard up to `until`
     /// (inclusive) and reply with [`FromWorker::Epoch`].
     Epoch {
-        inserts: Vec<Vec<(SimTime, u64, E)>>,
+        inserts: Vec<Vec<MailKey>>,
         until: SimTime,
     },
     /// Reply with each owned shard's queue telemetry.
@@ -119,12 +184,12 @@ enum ToWorker<E> {
 
 /// One drained shard in an epoch reply:
 /// `(shard, drained batch ascending by (time, gseq), next head key)`.
-type DrainedShard<E> = (usize, Vec<(SimTime, (u64, E))>, (SimTime, u64));
+type DrainedShard = (usize, Vec<BatchKey>, (SimTime, u64));
 
 /// Worker → commit thread replies (tagged; all workers share one channel).
-enum FromWorker<E> {
+enum FromWorker {
     Epoch {
-        shards: Vec<DrainedShard<E>>,
+        shards: Vec<DrainedShard>,
     },
     Telemetry {
         shards: Vec<(usize, QueueTelemetry)>,
@@ -132,39 +197,51 @@ enum FromWorker<E> {
 }
 
 /// Where the per-shard queue mechanics run.
-enum Backend<E> {
+enum Backend {
     /// `threads == 1`: same epochs, run in place on the commit thread.
-    Inline { queues: Vec<EventQueue<(u64, E)>> },
+    Inline { queues: Vec<EventQueue<QueueKey>> },
     /// `threads > 1`: persistent workers, one channel pair per worker.
     Threaded {
-        to_workers: Vec<mpsc::Sender<ToWorker<E>>>,
-        from_workers: mpsc::Receiver<FromWorker<E>>,
+        to_workers: Vec<mpsc::Sender<ToWorker>>,
+        from_workers: mpsc::Receiver<FromWorker>,
         handles: Vec<Option<JoinHandle<()>>>,
         /// `owned[w]` lists the shards worker `w` owns (`s % threads == w`).
         owned: Vec<Vec<usize>>,
     },
 }
 
+/// Head key of a shard queue, [`EMPTY_HEAD`] when empty.
+fn queue_head(q: &mut EventQueue<QueueKey>) -> (SimTime, u64) {
+    q.peek_entry().map(|(t, e)| (t, e.0)).unwrap_or(EMPTY_HEAD)
+}
+
+/// Head key of a descending batch, [`EMPTY_HEAD`] when drained.
+fn batch_head(batch: &[BatchKey]) -> (SimTime, u64) {
+    batch
+        .last()
+        .map(|&(t, (gseq, _))| (t, gseq))
+        .unwrap_or(EMPTY_HEAD)
+}
+
 /// The worker loop: pure queue mechanics on the owned shards, driven entirely
 /// by barrier messages. Exits when the commit side hangs up.
-fn worker_loop<E: Send>(
+fn worker_loop(
     owned: Vec<usize>,
-    mut queues: Vec<EventQueue<(u64, E)>>,
-    rx: mpsc::Receiver<ToWorker<E>>,
-    tx: mpsc::Sender<FromWorker<E>>,
+    mut queues: Vec<EventQueue<QueueKey>>,
+    rx: mpsc::Receiver<ToWorker>,
+    tx: mpsc::Sender<FromWorker>,
 ) {
     while let Ok(msg) = rx.recv() {
         let reply = match msg {
             ToWorker::Epoch { inserts, until } => {
                 let mut shards = Vec::with_capacity(owned.len());
                 for ((q, &s), batch_in) in queues.iter_mut().zip(&owned).zip(inserts) {
-                    for (at, gseq, event) in batch_in {
-                        q.schedule_at(at, (gseq, event));
+                    for (at, gseq, slot) in batch_in {
+                        q.schedule_at(at, (gseq, slot));
                     }
                     let mut batch = Vec::new();
                     q.drain_into(until, &mut batch);
-                    let head = q.peek_entry().map(|(t, e)| (t, e.0)).unwrap_or(EMPTY_HEAD);
-                    shards.push((s, batch, head));
+                    shards.push((s, batch, queue_head(q)));
                 }
                 FromWorker::Epoch { shards }
             }
@@ -191,22 +268,24 @@ fn worker_loop<E: Send>(
 #[derive(Debug)]
 pub struct EpochExecutor<E: Send + 'static> {
     ledger: SyncLedger,
-    backend: Backend<E>,
+    backend: Backend,
+    /// Every pending payload; the structures below hold slots into it.
+    slab: Slab<E>,
     /// Per-shard batches of scheduled events beyond the committed frontier,
     /// waiting for the next barrier flush. Always in global-sequence order.
-    mailboxes: Vec<Vec<(SimTime, u64, E)>>,
+    mailboxes: Vec<Vec<MailKey>>,
     /// Cached min key per mailbox, [`EMPTY_HEAD`] when empty.
     mailbox_mins: Vec<(SimTime, u64)>,
     /// Per-shard committed batch, sorted *descending* so the next event pops
     /// from the back.
-    batches: Vec<Vec<(SimTime, (u64, E))>>,
+    batches: Vec<Vec<BatchKey>>,
     /// Key of `batches[s].last()`, [`EMPTY_HEAD`] when drained.
     batch_heads: Vec<(SimTime, u64)>,
     /// Head key of each shard's worker-side queue as of the last barrier
     /// (exact between barriers: workers only act at barriers).
     worker_heads: Vec<(SimTime, u64)>,
     /// Commit-phase schedules that landed inside the committed region.
-    overlay: BinaryHeap<OverlayEntry<E>>,
+    overlay: BinaryHeap<OverlayEntry>,
     /// Inclusive end of the committed region; `None` before the first
     /// barrier (everything waits in the mailboxes).
     frontier: Option<SimTime>,
@@ -214,7 +293,7 @@ pub struct EpochExecutor<E: Send + 'static> {
     span_mult: u64,
 }
 
-impl<E: Send + 'static> std::fmt::Debug for Backend<E> {
+impl std::fmt::Debug for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Backend::Inline { queues } => {
@@ -237,11 +316,17 @@ impl<E: Send + 'static> EpochExecutor<E> {
         lookahead: SimDuration,
     ) -> Result<Self, ShardConfigError> {
         checked_shards(shards, lookahead)?;
-        Self::build(threads, lookahead, (0..shards).map(|_| EventQueue::new()))
+        Self::build(
+            threads,
+            lookahead,
+            0,
+            (0..shards).map(|_| EventQueue::new()),
+        )
     }
 
     /// Creates an executor whose shard queues are pre-sized: shard `s` for
-    /// `caps[s]` pending events spread over `horizon` of simulated time.
+    /// `caps[s]` pending events spread over `horizon` of simulated time. The
+    /// payload slab reserves room for the sum of `caps`.
     /// Per-shard capacities matter because shard 0 typically carries the
     /// control plane (ticks, samplers) on top of its share of deliveries.
     pub fn with_shard_capacities_and_horizon(
@@ -254,6 +339,7 @@ impl<E: Send + 'static> EpochExecutor<E> {
         Self::build(
             threads,
             lookahead,
+            caps.iter().sum(),
             caps.iter()
                 .map(|&c| EventQueue::with_capacity_and_horizon(c.max(16), horizon)),
         )
@@ -262,7 +348,8 @@ impl<E: Send + 'static> EpochExecutor<E> {
     fn build(
         threads: usize,
         lookahead: SimDuration,
-        queues: impl Iterator<Item = EventQueue<(u64, E)>>,
+        slab_cap: usize,
+        queues: impl Iterator<Item = EventQueue<QueueKey>>,
     ) -> Result<Self, ShardConfigError> {
         let queues: Vec<_> = queues.collect();
         let n = queues.len();
@@ -280,7 +367,7 @@ impl<E: Send + 'static> EpochExecutor<E> {
             let (reply_tx, from_workers) = mpsc::channel();
             let mut to_workers = Vec::with_capacity(threads);
             let mut handles = Vec::with_capacity(threads);
-            let mut slots: Vec<Option<EventQueue<(u64, E)>>> =
+            let mut slots: Vec<Option<EventQueue<QueueKey>>> =
                 queues.into_iter().map(Some).collect();
             for (w, shard_list) in owned.iter().enumerate() {
                 let qs: Vec<_> = shard_list
@@ -308,6 +395,7 @@ impl<E: Send + 'static> EpochExecutor<E> {
         Ok(EpochExecutor {
             ledger: SyncLedger::new(n, lookahead),
             backend,
+            slab: Slab::with_capacity(slab_cap),
             mailboxes: (0..n).map(|_| Vec::new()).collect(),
             mailbox_mins: vec![EMPTY_HEAD; n],
             batches: (0..n).map(|_| Vec::new()).collect(),
@@ -400,6 +488,7 @@ impl<E: Send + 'static> EpochExecutor<E> {
     /// Panics if `shard` is out of range or `at` precedes the merged clock.
     pub fn schedule_at(&mut self, shard: usize, at: SimTime, event: E) {
         let gseq = self.ledger.on_schedule(shard, at);
+        let slot = self.slab.insert(event);
         match self.frontier {
             // Inside the committed region (only possible from a commit-phase
             // handler): merge through the overlay so the event still executes
@@ -408,14 +497,14 @@ impl<E: Send + 'static> EpochExecutor<E> {
                 time: at,
                 gseq,
                 shard,
-                event,
+                slot,
             }),
             _ => {
                 let key = (at, gseq);
                 if key < self.mailbox_mins[shard] {
                     self.mailbox_mins[shard] = key;
                 }
-                self.mailboxes[shard].push((at, gseq, event));
+                self.mailboxes[shard].push((at, gseq, slot));
             }
         }
     }
@@ -467,24 +556,22 @@ impl<E: Send + 'static> EpochExecutor<E> {
         }
     }
 
-    /// Pops the committed region's head, if any.
+    /// Pops the committed region's head, if any, moving its payload out of
+    /// the slab.
     fn commit_next(&mut self) -> Option<(SimTime, usize, E)> {
         let (from_overlay, shard, _) = self.committed_head()?;
-        if from_overlay {
+        let (t, slot) = if from_overlay {
             let e = self.overlay.pop().expect("peeked overlay head vanished");
-            self.ledger.on_pop(e.shard, e.time);
-            Some((e.time, e.shard, e.event))
+            (e.time, e.slot)
         } else {
-            let (t, (_gseq, event)) = self.batches[shard]
+            let (t, (_gseq, slot)) = self.batches[shard]
                 .pop()
                 .expect("cached batch head of an empty batch");
-            self.batch_heads[shard] = self.batches[shard]
-                .last()
-                .map(|e| (e.0, e.1 .0))
-                .unwrap_or(EMPTY_HEAD);
-            self.ledger.on_pop(shard, t);
-            Some((t, shard, event))
-        }
+            self.batch_heads[shard] = batch_head(&self.batches[shard]);
+            (t, slot)
+        };
+        self.ledger.on_pop(shard, t);
+        Some((t, shard, self.slab.take(slot)))
     }
 
     /// Minimum pending key outside the committed region (worker queues and
@@ -529,16 +616,16 @@ impl<E: Send + 'static> EpochExecutor<E> {
         match backend {
             Backend::Inline { queues } => {
                 for (s, q) in queues.iter_mut().enumerate() {
-                    for (at, gseq, event) in mailboxes[s].drain(..) {
-                        q.schedule_at(at, (gseq, event));
+                    for (at, gseq, slot) in mailboxes[s].drain(..) {
+                        q.schedule_at(at, (gseq, slot));
                     }
                     mailbox_mins[s] = EMPTY_HEAD;
                     let batch = &mut batches[s];
                     debug_assert!(batch.is_empty());
                     drained += q.drain_into(until, batch);
                     batch.reverse();
-                    batch_heads[s] = batch.last().map(|e| (e.0, e.1 .0)).unwrap_or(EMPTY_HEAD);
-                    worker_heads[s] = q.peek_entry().map(|(t, e)| (t, e.0)).unwrap_or(EMPTY_HEAD);
+                    batch_heads[s] = batch_head(batch);
+                    worker_heads[s] = queue_head(q);
                 }
             }
             Backend::Threaded {
@@ -565,8 +652,7 @@ impl<E: Send + 'static> EpochExecutor<E> {
                             for (s, mut batch, head) in shards {
                                 drained += batch.len();
                                 batch.reverse();
-                                batch_heads[s] =
-                                    batch.last().map(|e| (e.0, e.1 .0)).unwrap_or(EMPTY_HEAD);
+                                batch_heads[s] = batch_head(&batch);
                                 batches[s] = batch;
                                 worker_heads[s] = head;
                             }
@@ -723,6 +809,9 @@ impl<E: Send + 'static> Drop for EpochExecutor<E> {
 mod tests {
     use super::*;
     use crate::shard::ShardedQueue;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     const LA: SimDuration = SimDuration::from_millis(1);
 
@@ -920,6 +1009,90 @@ mod tests {
             ex.pop();
         }
         drop(ex); // must join, not hang or leak panics
+    }
+
+    /// A payload that counts its own drops.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn every_payload_is_popped_or_dropped_exactly_once() {
+        for threads in [1, 2] {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let counted = || Counted(Arc::clone(&drops));
+            let mut ex = EpochExecutor::new(2, threads, LA).unwrap();
+            // Ten events inside the first epoch's span, the rest far beyond.
+            for i in 0..10u64 {
+                ex.schedule_at(i as usize % 2, SimTime::from_micros(i * 50), counted());
+            }
+            for i in 0..10u64 {
+                ex.schedule_at(i as usize % 2, SimTime::from_millis(50 + i), counted());
+            }
+            let (t, shard, first) = ex.pop().expect("ten events are due");
+            drop(first);
+            // A commit-phase schedule inside the frontier, one beyond it.
+            ex.schedule_at(1 - shard, t, counted());
+            ex.schedule_at(shard, SimTime::from_secs(1), counted());
+            assert_eq!(drops.load(Ordering::Relaxed), 1);
+
+            assert!(!ex.overlay.is_empty(), "overlay holds an event");
+            assert!(
+                ex.mailboxes.iter().any(|m| !m.is_empty()),
+                "mailbox holds one"
+            );
+            assert!(
+                ex.batches.iter().any(|b| !b.is_empty()),
+                "batches hold some"
+            );
+            assert!(
+                ex.worker_heads.iter().any(|&h| h != EMPTY_HEAD),
+                "calendar queues hold some"
+            );
+            let pending = ex.len();
+            assert_eq!(pending, 21);
+            assert_eq!(ex.slab.slots.len() - ex.slab.free.len(), pending);
+            drop(ex);
+            assert_eq!(drops.load(Ordering::Relaxed), 22, "threads {threads}");
+        }
+    }
+
+    proptest! {
+        /// Random schedule / pop / bounded-pop / in-frontier interleavings:
+        /// the slab's high-water mark never exceeds the peak pending count
+        /// (slots are recycled), and its occupancy always equals `len()`.
+        #[test]
+        fn slab_never_outgrows_the_peak_pending_count(
+            ops in proptest::collection::vec((0u8..8, 0u64..u64::MAX / 2), 1..300),
+            threads in 1usize..=2,
+        ) {
+            let mut ex = EpochExecutor::new(3, threads, LA).unwrap();
+            let mut peak = 0usize;
+            for &(code, v) in &ops {
+                let shard = (v >> 32) as usize % 3;
+                match code {
+                    0..=2 => ex.schedule_after(shard, SimDuration::from_micros(v % 20_000), v),
+                    // Lands inside the committed region once a barrier ran.
+                    3 => ex.schedule_after(shard, SimDuration::from_micros(v % 500), v),
+                    4..=6 => {
+                        ex.pop();
+                    }
+                    _ => {
+                        let horizon = ex.now() + SimDuration::from_micros(v % 5_000);
+                        ex.pop_if_at_or_before(horizon);
+                    }
+                }
+                peak = peak.max(ex.len());
+                prop_assert!(ex.slab.slots.len() <= peak);
+                prop_assert_eq!(ex.slab.slots.len() - ex.slab.free.len(), ex.len());
+            }
+            while ex.pop().is_some() {}
+            prop_assert_eq!(ex.slab.free.len(), ex.slab.slots.len());
+        }
     }
 
     #[test]

@@ -33,10 +33,9 @@ pub fn deliveries<P, T>(emissions: Vec<Emission<P>>) -> Vec<Effect<P, T>> {
 
 /// A location-service protocol under test.
 ///
-/// Payload and timer types must be `Send + 'static`: scheduled events carry
-/// them across the epoch executor's worker-thread boundary (`run --shards N
-/// --threads M`), even though handlers themselves only ever run on the
-/// commit thread.
+/// Payload and timer types must be `Send + 'static`, the bound of the epoch
+/// executor's public API (`run --shards N --threads M`). Today its workers
+/// handle only slab keys; payloads and handlers stay on the commit thread.
 pub trait LocationService {
     /// Wire payload type.
     type Payload: Clone + std::fmt::Debug + Send + 'static;

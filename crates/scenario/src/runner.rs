@@ -504,8 +504,11 @@ fn drive<L: LocationService>(
         }
     };
     // Pre-size the queue from the config: every mobility tick is scheduled up
-    // front, and in-flight radio traffic scales with the fleet (~32 pending
-    // events per vehicle covers the observed peaks with headroom).
+    // front, and in-flight radio traffic scales with the fleet. 32 pending
+    // deliveries per vehicle does *not* cover the peak: the t = 0 join burst
+    // of position broadcasts reaches ~41 per vehicle (414,667 at 10k
+    // vehicles), so the queue grows once there. After the first 5 simulated
+    // seconds the same run never holds more than 4,742 pending events.
     let tick_count = (cfg.duration.as_micros() / cfg.mobility.tick.as_micros().max(1)) as usize;
     // Never run more epoch workers than the host has cores: the threaded
     // backend's barrier hand-off is pure overhead when workers time-share one

@@ -171,17 +171,31 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
+/// Ends the process with a one-line error naming the malformed flag.
+fn bad_value(name: &str, wants: &str, value: &str) -> ! {
+    eprintln!("error: --{name} wants {wants}, got {value:?}");
+    std::process::exit(1)
+}
+
+/// The value of `--name` parsed as `T`, if the flag was given. A value that
+/// does not parse is an error, never a silent fallback.
+fn get_opt<T: std::str::FromStr>(flags: &Flags, name: &str) -> Option<T> {
+    let v = flags.get(name)?;
+    match v.parse() {
+        Ok(x) => Some(x),
+        Err(_) => bad_value(name, &format!("a {}", std::any::type_name::<T>()), v),
+    }
+}
+
 fn get<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> T {
-    flags
-        .get(name)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    get_opt(flags, name).unwrap_or(default)
 }
 
 fn protocol_of(flags: &Flags) -> Protocol {
     match flags.get("protocol").map(String::as_str) {
+        None | Some("hlsrg") | Some("HLSRG") => Protocol::Hlsrg,
         Some("rlsmp") | Some("RLSMP") => Protocol::Rlsmp,
-        _ => Protocol::Hlsrg,
+        Some(other) => bad_value("protocol", "hlsrg or rlsmp", other),
     }
 }
 
@@ -252,8 +266,7 @@ fn cmd_run(flags: &Flags) -> ExitCode {
     let telemetry_path = flags.get("telemetry-out");
     if telemetry_path.is_some() || flags.contains_key("telemetry-interval") {
         let secs = get(flags, "telemetry-interval", 5.0f64);
-        // NaN from a malformed value falls to the default, so <= 0 is the bad case.
-        if secs <= 0.0 {
+        if secs.is_nan() || secs <= 0.0 {
             eprintln!("error: --telemetry-interval wants a positive number of seconds");
             return ExitCode::FAILURE;
         }
@@ -262,6 +275,7 @@ fn cmd_run(flags: &Flags) -> ExitCode {
     if trace_path.is_none() && cfg.telemetry_interval.is_none() {
         let r = run_simulation(&cfg, protocol);
         print_report(&r, flags.contains_key("csv"));
+        print_phase_timings(&r);
         return ExitCode::SUCCESS;
     }
     // Open the outputs before the (potentially long) run so a bad path fails fast.
@@ -320,13 +334,19 @@ fn cmd_run(flags: &Flags) -> ExitCode {
         };
         eprintln!("wrote {} trace events to {path}{dropped}", tracer.len());
     }
+    print_phase_timings(&r);
+    ExitCode::SUCCESS
+}
+
+/// The per-phase timing summary on stderr; empty unless the binary was built
+/// with `--features trace`.
+fn print_phase_timings(r: &RunReport) {
     for p in &r.phase_timings {
         eprintln!(
             "  phase {:<14} {:>9} calls  mean {:>8.0} ns  total {:>8.1} ms",
             p.phase, p.count, p.mean_ns, p.total_ms
         );
     }
-    ExitCode::SUCCESS
 }
 
 fn cmd_inspect(args: &[String]) -> ExitCode {
@@ -396,7 +416,7 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
              summaries cover only the surviving suffix"
         );
     }
-    if let Some(q) = flags.get("query").and_then(|v| v.parse::<u64>().ok()) {
+    if let Some(q) = get_opt::<u64>(&flags, "query") {
         return print_query_timeline(&events, q);
     }
     let top = get(&flags, "top", 5usize);
