@@ -1,6 +1,6 @@
 //! Microbenchmarks of the simulation substrate: event queue, spatial hash, GPSR
-//! step, mobility tick, and partition lookups. These bound how far the simulator
-//! scales beyond the paper's 700 vehicles.
+//! step, mobility tick, partition lookups, and world setup. These bound how far
+//! the simulator scales beyond the paper's 700 vehicles.
 
 use criterion::{BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
@@ -159,6 +159,42 @@ fn bench_partition(c: &mut Criterion) {
     });
 }
 
+/// World setup at city scale: the road-adapted partition (one nearest-
+/// intersection lookup per grid centre) and the vehicle spawn (one weighted
+/// road draw per vehicle). Vehicle counts keep the 12 km / 10k-vehicle
+/// density of the large benchmark tier. Each partition iteration builds on
+/// a fresh clone of the map, so the lazily built lookup index is part of the
+/// measured cost, as it is in a run.
+fn bench_world_setup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernel/world_setup");
+    for &km in &[4usize, 12, 24] {
+        let net = generate_grid(
+            &GridMapSpec::paper(km as f64 * 1000.0),
+            &mut SmallRng::seed_from_u64(0),
+        );
+        let vehicles = 10_000 * km * km / 144;
+        group.bench_with_input(BenchmarkId::new("partition", km), &net, |b, net| {
+            b.iter(|| {
+                let fresh = net.clone();
+                black_box(Partition::build(&fresh, 500.0).l1_count())
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new(format!("spawn_{vehicles}"), km),
+            &net,
+            |b, net| {
+                b.iter(|| {
+                    let mut rng = SmallRng::seed_from_u64(5);
+                    let model =
+                        MobilityModel::new(net, MobilityConfig::default(), vehicles, &mut rng);
+                    black_box(model.len())
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn main() {
     let mut c = Criterion::default().configure_from_args();
     bench_event_queue(&mut c);
@@ -167,5 +203,6 @@ fn main() {
     bench_gpsr(&mut c);
     bench_mobility_tick(&mut c);
     bench_partition(&mut c);
+    bench_world_setup(&mut c);
     c.final_summary();
 }

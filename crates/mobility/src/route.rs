@@ -118,6 +118,12 @@ pub fn choose_next_road(
 
 /// Spawns `n` vehicles on roads weighted by `length × class weight`, with uniform
 /// offsets and desired speeds drawn from `[min_speed, max_speed]` m/s.
+///
+/// # Panics
+///
+/// Panics on an invalid speed range, or unless the road weights are all
+/// non-negative with a positive, finite total (a network with no roads has
+/// nothing to spawn on).
 pub fn spawn_vehicles(
     net: &RoadNetwork,
     cfg: &RouteConfig,
@@ -131,29 +137,10 @@ pub fn spawn_vehicles(
         max_speed >= min_speed && min_speed >= 0.0,
         "invalid speed range"
     );
-    let weights: Vec<f64> = net
-        .roads()
-        .iter()
-        .map(|r| {
-            r.length
-                * match r.class {
-                    RoadClass::Artery => cfg.artery_bias,
-                    RoadClass::Normal => 1.0,
-                }
-        })
-        .collect();
-    let total: f64 = weights.iter().sum();
+    let table = SpawnTable::new(net, cfg);
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
-        let mut draw = rng.random_range(0.0..total);
-        let mut road = net.roads().last().expect("non-empty network").id;
-        for (r, &w) in net.roads().iter().zip(weights.iter()) {
-            if draw < w {
-                road = r.id;
-                break;
-            }
-            draw -= w;
-        }
+        let road = RoadId(table.pick(rng.random_range(0.0..table.total)) as u32);
         let r = net.road(road);
         let from = if rng.random_bool(0.5) { r.a } else { r.b };
         let offset = rng.random_range(0.0..r.length);
@@ -172,6 +159,90 @@ pub fn spawn_vehicles(
         });
     }
     out
+}
+
+/// Spawn weights of every road with their running sums, so a road draw is a
+/// binary search instead of a walk over all roads.
+///
+/// A draw's road is defined by walking the roads in id order, testing
+/// `draw < w` and otherwise subtracting `w`. [`SpawnTable::pick`] returns
+/// exactly that walk's answer: the running sums and the subtracted
+/// remainders round differently, but by at most `margin` in total, so a draw
+/// farther than `margin` from every running sum is classified identically by
+/// both. Draws inside the margin replay the walk itself.
+struct SpawnTable {
+    weights: Vec<f64>,
+    /// `ends[k]` = `weights[0] + … + weights[k]`, summed left to right.
+    ends: Vec<f64>,
+    /// `weights` summed left to right: the draw range `[0, total)`.
+    total: f64,
+    /// `roads × total × ε` bounds the rounding gap between a running sum
+    /// and the walk's remainder at any road (see DESIGN.md).
+    margin: f64,
+}
+
+impl SpawnTable {
+    fn new(net: &RoadNetwork, cfg: &RouteConfig) -> Self {
+        let weights: Vec<f64> = net
+            .roads()
+            .iter()
+            .map(|r| {
+                r.length
+                    * match r.class {
+                        RoadClass::Artery => cfg.artery_bias,
+                        RoadClass::Normal => 1.0,
+                    }
+            })
+            .collect();
+        let ends: Vec<f64> = weights
+            .iter()
+            .scan(0.0, |sum, &w| {
+                *sum += w;
+                Some(*sum)
+            })
+            .collect();
+        let total: f64 = weights.iter().sum();
+        assert!(
+            total > 0.0 && total.is_finite() && weights.iter().all(|&w| w >= 0.0),
+            "spawning needs roads with non-negative weights and a positive total"
+        );
+        SpawnTable {
+            margin: weights.len() as f64 * total * f64::EPSILON,
+            weights,
+            ends,
+            total,
+        }
+    }
+
+    /// Index of the road the sequential walk picks for `draw`.
+    fn pick(&self, draw: f64) -> usize {
+        let k = self.ends.partition_point(|&end| end <= draw);
+        if self.clear_of_boundaries(draw, k) {
+            k
+        } else {
+            self.walk(draw)
+        }
+    }
+
+    /// True if road `k` was found and `draw` lies farther than `margin` from
+    /// both of its running-sum boundaries.
+    fn clear_of_boundaries(&self, draw: f64, k: usize) -> bool {
+        k < self.ends.len()
+            && self.ends[k] - draw > self.margin
+            && (k == 0 || draw - self.ends[k - 1] > self.margin)
+    }
+
+    /// The sequential walk; the last road takes a draw that outruns every
+    /// remainder through rounding.
+    fn walk(&self, mut draw: f64) -> usize {
+        for (k, &w) in self.weights.iter().enumerate() {
+            if draw < w {
+                return k;
+            }
+            draw -= w;
+        }
+        self.weights.len() - 1
+    }
 }
 
 #[cfg(test)]
@@ -254,6 +325,167 @@ mod tests {
             assert!(v.desired_speed >= 2.0 && v.desired_speed <= 16.0);
             assert!(v.from == r.a || v.from == r.b);
         }
+    }
+
+    /// The road the pre-table spawner chose for `draw`: walk every road in
+    /// id order, testing `draw < w` and otherwise subtracting `w`.
+    fn linear_pick(net: &RoadNetwork, cfg: &RouteConfig, mut draw: f64) -> RoadId {
+        let mut road = net.roads().last().expect("non-empty network").id;
+        for r in net.roads() {
+            let w = r.length
+                * match r.class {
+                    RoadClass::Artery => cfg.artery_bias,
+                    RoadClass::Normal => 1.0,
+                };
+            if draw < w {
+                road = r.id;
+                break;
+            }
+            draw -= w;
+        }
+        road
+    }
+
+    /// The pre-table spawner, kept as the reference the table must match.
+    fn spawn_vehicles_linear(
+        net: &RoadNetwork,
+        cfg: &RouteConfig,
+        n: usize,
+        min_speed: f64,
+        max_speed: f64,
+        rng: &mut SmallRng,
+    ) -> Vec<VehicleState> {
+        use crate::vehicle::VehicleId;
+        let total: f64 = net
+            .roads()
+            .iter()
+            .map(|r| {
+                r.length
+                    * match r.class {
+                        RoadClass::Artery => cfg.artery_bias,
+                        RoadClass::Normal => 1.0,
+                    }
+            })
+            .sum();
+        (0..n)
+            .map(|i| {
+                let road = linear_pick(net, cfg, rng.random_range(0.0..total));
+                let r = net.road(road);
+                let from = if rng.random_bool(0.5) { r.a } else { r.b };
+                let offset = rng.random_range(0.0..r.length);
+                let desired_speed = if max_speed > min_speed {
+                    rng.random_range(min_speed..max_speed)
+                } else {
+                    min_speed
+                };
+                VehicleState {
+                    id: VehicleId(i as u32),
+                    road,
+                    from,
+                    offset,
+                    speed: desired_speed,
+                    desired_speed,
+                }
+            })
+            .collect()
+    }
+
+    fn maps() -> Vec<RoadNetwork> {
+        let mut rng = SmallRng::seed_from_u64(9);
+        let mut out = Vec::new();
+        for size in [500.0, 2000.0, 4000.0] {
+            out.push(generate_grid(&GridMapSpec::paper(size), &mut rng));
+            out.push(generate_grid(&GridMapSpec::jittered(size, 40.0), &mut rng));
+        }
+        out
+    }
+
+    #[test]
+    fn spawn_matches_linear_reference() {
+        let biased = RouteConfig {
+            artery_bias: 7.3,
+            straight_bias: 4.0,
+        };
+        for net in maps() {
+            for cfg in [RouteConfig::default(), biased] {
+                for seed in 0..12 {
+                    let got = spawn_vehicles(
+                        &net,
+                        &cfg,
+                        300,
+                        2.0,
+                        16.0,
+                        &mut SmallRng::seed_from_u64(seed),
+                    );
+                    let want = spawn_vehicles_linear(
+                        &net,
+                        &cfg,
+                        300,
+                        2.0,
+                        16.0,
+                        &mut SmallRng::seed_from_u64(seed),
+                    );
+                    assert_eq!(got, want, "seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_draws_take_the_walk_and_match_it() {
+        let cfg = RouteConfig::default();
+        let mut naive_mismatches = 0;
+        for net in maps() {
+            let table = SpawnTable::new(&net, &cfg);
+            for (k, &end) in table.ends.iter().enumerate() {
+                for draw in [end, end.next_down(), end.next_up()] {
+                    if draw >= table.total {
+                        continue;
+                    }
+                    let found = table.ends.partition_point(|&e| e <= draw);
+                    assert!(!table.clear_of_boundaries(draw, found), "road {k}");
+                    let want = linear_pick(&net, &cfg, draw).0 as usize;
+                    assert_eq!(table.pick(draw), want, "road {k}, draw {draw}");
+                    naive_mismatches += usize::from(found != want);
+                }
+            }
+        }
+        // Without the fallback, the binary search alone would disagree with
+        // the walk somewhere on these maps.
+        assert!(naive_mismatches > 0);
+    }
+
+    #[test]
+    fn interior_draws_never_take_the_walk_on_the_paper_grid() {
+        let net = generate_grid(&GridMapSpec::paper(4000.0), &mut SmallRng::seed_from_u64(0));
+        let table = SpawnTable::new(&net, &RouteConfig::default());
+        let mut rng = SmallRng::seed_from_u64(1);
+        for _ in 0..20_000 {
+            let draw = rng.random_range(0.0..table.total);
+            let k = table.ends.partition_point(|&e| e <= draw);
+            assert!(table.clear_of_boundaries(draw, k), "draw {draw}");
+            assert_eq!(
+                k,
+                linear_pick(&net, &RouteConfig::default(), draw).0 as usize
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive total")]
+    fn roadless_network_is_rejected_before_drawing() {
+        use vanet_roadnet::RoadNetworkBuilder;
+        let mut b = RoadNetworkBuilder::new();
+        b.add_intersection(vanet_geo::Point::new(0.0, 0.0));
+        let net = b.build();
+        spawn_vehicles(
+            &net,
+            &RouteConfig::default(),
+            1,
+            2.0,
+            16.0,
+            &mut SmallRng::seed_from_u64(0),
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::graph::{IntersectionId, RoadClass, RoadNetwork, RoadNetworkBuilder};
 use rand::rngs::SmallRng;
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use vanet_geo::Point;
 
 /// Parameters for the lattice generator.
@@ -71,19 +72,84 @@ impl GridMapSpec {
         self.artery_period > 0 && i.is_multiple_of(self.artery_period)
     }
 
-    fn validate(&self) {
-        assert!(
-            self.width > 0.0 && self.height > 0.0,
-            "map must have positive extent"
-        );
-        assert!(self.spacing > 0.0, "spacing must be positive");
-        assert!(
-            self.jitter >= 0.0 && self.jitter < self.spacing / 2.0,
-            "jitter must be in [0, spacing/2)"
-        );
-        assert!(self.artery_period >= 1, "artery_period must be >= 1");
+    /// Checks that the spec describes a lattice [`generate_grid`] can build:
+    /// finite positive sizes, a planar jitter, at least one road, and
+    /// intersection and road ids that fit in `u32`.
+    pub fn check(&self) -> Result<(), MapSpecError> {
+        let finite_pos = |v: f64| v > 0.0 && v.is_finite();
+        if !(finite_pos(self.width) && finite_pos(self.height)) {
+            return Err(MapSpecError::Extent);
+        }
+        if !finite_pos(self.spacing) {
+            return Err(MapSpecError::Spacing);
+        }
+        if !(self.jitter >= 0.0 && self.jitter < self.spacing / 2.0) {
+            return Err(MapSpecError::Jitter);
+        }
+        if self.artery_period < 1 {
+            return Err(MapSpecError::ArteryPeriod);
+        }
+        // Counted in f64: the usize lattice dims can overflow on absurd sizes.
+        let cols = (self.width / self.spacing).round() + 1.0;
+        let rows = (self.height / self.spacing).round() + 1.0;
+        if cols < 2.0 && rows < 2.0 {
+            return Err(MapSpecError::NoRoads {
+                spacing: self.spacing,
+            });
+        }
+        let intersections = cols * rows;
+        let roads = rows * (cols - 1.0) + cols * (rows - 1.0);
+        if intersections.max(roads) > u32::MAX as f64 + 1.0 {
+            return Err(MapSpecError::TooLarge { intersections });
+        }
+        Ok(())
     }
 }
+
+/// Why a [`GridMapSpec`] cannot be generated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum MapSpecError {
+    /// Width or height is not a positive finite number.
+    Extent,
+    /// Road spacing is not a positive finite number.
+    Spacing,
+    /// Jitter is outside `[0, spacing/2)`.
+    Jitter,
+    /// `artery_period` is zero.
+    ArteryPeriod,
+    /// Both sides round to zero road spacings, leaving one roadless node.
+    NoRoads {
+        /// The road spacing a side must reach half of.
+        spacing: f64,
+    },
+    /// More intersections or roads than `u32` ids can address.
+    TooLarge {
+        /// Intersections the lattice would need.
+        intersections: f64,
+    },
+}
+
+impl fmt::Display for MapSpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MapSpecError::Extent => write!(f, "map must have positive extent"),
+            MapSpecError::Spacing => write!(f, "spacing must be positive"),
+            MapSpecError::Jitter => write!(f, "jitter must be in [0, spacing/2)"),
+            MapSpecError::ArteryPeriod => write!(f, "artery_period must be >= 1"),
+            MapSpecError::NoRoads { spacing } => write!(
+                f,
+                "map has no roads: a side must be at least {} m (half the road spacing)",
+                spacing / 2.0
+            ),
+            MapSpecError::TooLarge { intersections } => write!(
+                f,
+                "map is too large: {intersections:.3e} intersections overflow u32 ids"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for MapSpecError {}
 
 /// Generates a lattice map per `spec`. `rng` drives the jitter; pass any seeded rng
 /// (unused when `jitter == 0`).
@@ -91,8 +157,14 @@ impl GridMapSpec {
 /// Intersections are laid out row-major from the south-west corner; roads connect
 /// 4-neighbors. A road is an [`RoadClass::Artery`] iff it lies *along* an artery
 /// line (both endpoints on that line).
+///
+/// # Panics
+///
+/// Panics if [`GridMapSpec::check`] rejects `spec`.
 pub fn generate_grid(spec: &GridMapSpec, rng: &mut SmallRng) -> RoadNetwork {
-    spec.validate();
+    if let Err(e) = spec.check() {
+        panic!("{e}");
+    }
     let (cols, rows) = (spec.cols(), spec.rows());
     let mut b = RoadNetworkBuilder::new();
     let mut ids = Vec::with_capacity(cols * rows);
@@ -244,6 +316,29 @@ mod tests {
             ..GridMapSpec::paper(500.0)
         };
         generate_grid(&spec, &mut rng());
+    }
+
+    #[test]
+    fn check_rejects_unbuildable_specs() {
+        for size in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            assert_eq!(GridMapSpec::paper(size).check(), Err(MapSpecError::Extent));
+        }
+        // Below half a spacing both sides round to zero roads.
+        assert!(matches!(
+            GridMapSpec::paper(10.0).check(),
+            Err(MapSpecError::NoRoads { .. })
+        ));
+        assert_eq!(GridMapSpec::paper(62.5).check(), Ok(()));
+        assert!(matches!(
+            GridMapSpec::paper(1e9).check(),
+            Err(MapSpecError::TooLarge { .. })
+        ));
+        // 65,536 × 65,536 nodes would fit u32, but their roads would not.
+        assert!(matches!(
+            GridMapSpec::paper(125.0 * 65_535.0).check(),
+            Err(MapSpecError::TooLarge { .. })
+        ));
+        assert_eq!(GridMapSpec::paper(2000.0).check(), Ok(()));
     }
 
     #[test]

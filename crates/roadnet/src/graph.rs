@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 use vanet_geo::{BBox, Heading, Point, Segment};
 
 /// Index of an intersection in the network.
@@ -73,6 +74,144 @@ pub struct RoadNetwork {
     /// `adjacency[node]` = road ids incident to that node, sorted for determinism.
     adjacency: Vec<Vec<RoadId>>,
     bbox: BBox,
+    /// Bucket index behind [`RoadNetwork::nearest_intersection`], built on the
+    /// first query so a deserialised network answers too.
+    #[serde(skip)]
+    nearest: OnceLock<NearestIndex>,
+}
+
+/// Bucket-grid index over the intersections for nearest-neighbour queries.
+///
+/// Square buckets of side `cell` tile the bounding box, about one
+/// intersection per bucket. Storage is CSR: bucket `b` (row-major) holds the
+/// ids `ids[starts[b]..starts[b + 1]]`, so the whole index is two flat arrays.
+#[derive(Debug, Clone)]
+struct NearestIndex {
+    origin: Point,
+    cell: f64,
+    inv_cell: f64,
+    nx: usize,
+    ny: usize,
+    starts: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl NearestIndex {
+    fn build(nodes: &[Intersection], bbox: BBox) -> Self {
+        let n = nodes.len() as f64;
+        let (w, h) = (bbox.width(), bbox.height());
+        // ~One node per bucket; the `extent / n` floor caps a sliver-shaped
+        // map at O(n) buckets. Non-finite geometry degrades to one bucket,
+        // i.e. to the plain linear scan.
+        let cell = (w * h / n).sqrt().max(w.max(h) / n);
+        let finite = nodes
+            .iter()
+            .all(|i| i.pos.x.is_finite() && i.pos.y.is_finite());
+        let (cell, nx, ny) = if finite && cell.is_finite() && cell > 0.0 {
+            (cell, (w / cell) as usize + 1, (h / cell) as usize + 1)
+        } else {
+            (f64::INFINITY, 1, 1)
+        };
+        let mut index = NearestIndex {
+            origin: Point::new(bbox.min_x, bbox.min_y),
+            cell,
+            inv_cell: 1.0 / cell,
+            nx,
+            ny,
+            starts: vec![0; nx * ny + 1],
+            ids: vec![0; nodes.len()],
+        };
+        // Counting sort in place: count into `starts[b]`, turn the counts
+        // into bucket ends, then place ids from the back so each bucket's
+        // end slides down to its start and ids stay ascending within it.
+        for node in nodes {
+            let b = index.bucket_of(node.pos);
+            index.starts[b] += 1;
+        }
+        let mut end = 0;
+        for s in &mut index.starts {
+            end += *s;
+            *s = end;
+        }
+        for (id, node) in nodes.iter().enumerate().rev() {
+            let b = index.bucket_of(node.pos);
+            index.starts[b] -= 1;
+            index.ids[index.starts[b] as usize] = id as u32;
+        }
+        index
+    }
+
+    /// Bucket column/row of `p`, clamped into the grid (NaN lands in 0).
+    fn cell_of(&self, p: Point) -> (usize, usize) {
+        let ix = ((p.x - self.origin.x) * self.inv_cell).max(0.0) as usize;
+        let iy = ((p.y - self.origin.y) * self.inv_cell).max(0.0) as usize;
+        (ix.min(self.nx - 1), iy.min(self.ny - 1))
+    }
+
+    fn bucket_of(&self, p: Point) -> usize {
+        let (ix, iy) = self.cell_of(p);
+        iy * self.nx + ix
+    }
+
+    /// The id minimising `(distance_sq, id)` under `total_cmp` — exactly the
+    /// linear scan's answer — found by visiting square rings of buckets
+    /// around `p`'s bucket.
+    ///
+    /// After ring `r`, every unvisited bucket is at least `r + 1` buckets
+    /// away on some axis, so its nodes lie at least `r · cell` from `p`
+    /// (less a few ulps of bucket rounding). The search stops once the best
+    /// distance is below `(r − 1) · cell`. The spare cell absorbs that
+    /// rounding, so every unvisited node is strictly farther than the best:
+    /// none can be closer, or tied with a lower id. A NaN or infinite best
+    /// distance never passes the test, so such queries visit every bucket.
+    fn nearest(&self, nodes: &[Intersection], p: Point) -> IntersectionId {
+        let (cx, cy) = self.cell_of(p);
+        let (cx, cy) = (cx as isize, cy as isize);
+        let (nx, ny) = (self.nx as isize, self.ny as isize);
+        let mut best = None;
+        for r in 0isize.. {
+            let (x0, x1) = ((cx - r).max(0), (cx + r).min(nx - 1));
+            let (y0, y1) = ((cy - r).max(0), (cy + r).min(ny - 1));
+            for iy in y0..=y1 {
+                let row = (iy * nx) as usize;
+                if iy == cy - r || iy == cy + r {
+                    for ix in x0..=x1 {
+                        self.scan_bucket(nodes, p, row + ix as usize, &mut best);
+                    }
+                } else {
+                    if cx - r >= 0 {
+                        self.scan_bucket(nodes, p, row + (cx - r) as usize, &mut best);
+                    }
+                    if cx + r < nx {
+                        self.scan_bucket(nodes, p, row + (cx + r) as usize, &mut best);
+                    }
+                }
+            }
+            let covered = x0 == 0 && y0 == 0 && x1 == nx - 1 && y1 == ny - 1;
+            let reach = (r - 1) as f64 * self.cell;
+            if covered || best.is_some_and(|(d, _)| reach > 0.0 && d < reach * reach) {
+                break;
+            }
+        }
+        IntersectionId(best.expect("network is non-empty").1)
+    }
+
+    /// Folds bucket `b` into `best`, ordered by `(distance_sq, id)`.
+    fn scan_bucket(
+        &self,
+        nodes: &[Intersection],
+        p: Point,
+        b: usize,
+        best: &mut Option<(f64, u32)>,
+    ) {
+        let (lo, hi) = (self.starts[b] as usize, self.starts[b + 1] as usize);
+        for &id in &self.ids[lo..hi] {
+            let d = p.distance_sq(nodes[id as usize].pos);
+            if best.is_none_or(|(bd, bid)| d.total_cmp(&bd).then(id.cmp(&bid)).is_lt()) {
+                *best = Some((d, id));
+            }
+        }
+    }
 }
 
 /// Builder for [`RoadNetwork`]; validates as it goes.
@@ -148,6 +287,7 @@ impl RoadNetworkBuilder {
             roads: self.roads,
             adjacency,
             bbox,
+            nearest: OnceLock::new(),
         }
     }
 }
@@ -232,7 +372,18 @@ impl RoadNetwork {
     }
 
     /// The intersection nearest to `p` (ties broken by lowest id).
+    ///
+    /// Answered from a bucket index built on the first call; the result is
+    /// identical to a scan over every intersection.
     pub fn nearest_intersection(&self, p: Point) -> IntersectionId {
+        self.nearest
+            .get_or_init(|| NearestIndex::build(&self.intersections, self.bbox))
+            .nearest(&self.intersections, p)
+    }
+
+    /// The linear-scan reference [`Self::nearest_intersection`] must match.
+    #[cfg(test)]
+    pub(crate) fn nearest_intersection_linear(&self, p: Point) -> IntersectionId {
         self.intersections
             .iter()
             .min_by(|x, y| {
@@ -394,9 +545,54 @@ mod tests {
             net.nearest_intersection(Point::new(10.0, -5.0)),
             IntersectionId(0)
         );
+        // Ties go to the lowest id: the centre is equidistant from all four
+        // corners, an edge midpoint from two.
+        assert_eq!(
+            net.nearest_intersection(Point::new(50.0, 50.0)),
+            IntersectionId(0)
+        );
+        assert_eq!(
+            net.nearest_intersection(Point::new(100.0, 50.0)),
+            IntersectionId(1)
+        );
         let (rid, d) = net.nearest_road(Point::new(50.0, 10.0));
         assert_eq!(rid, RoadId(0));
         assert_eq!(d, 10.0);
+    }
+
+    #[test]
+    fn nearest_index_matches_linear_scan_on_degenerate_inputs() {
+        let one = {
+            let mut b = RoadNetworkBuilder::new();
+            b.add_intersection(Point::new(5.0, 5.0));
+            b.build()
+        };
+        // Non-finite node coordinates fall back to a single bucket.
+        let odd = {
+            let mut b = RoadNetworkBuilder::new();
+            b.add_intersection(Point::new(3.0, 1.0));
+            b.add_intersection(Point::new(f64::NAN, 0.0));
+            b.add_intersection(Point::new(f64::INFINITY, 2.0));
+            b.add_intersection(Point::new(-1.0, 4.0));
+            b.build()
+        };
+        let queries = [
+            Point::new(5.0, 5.0),
+            Point::new(-1e9, 3.0),
+            Point::new(1e200, -1e200),
+            Point::new(f64::NAN, 1.0),
+            Point::new(f64::INFINITY, f64::NEG_INFINITY),
+            Point::new(-0.0, 0.0),
+        ];
+        for net in [square(), one, odd] {
+            for q in queries {
+                assert_eq!(
+                    net.nearest_intersection(q),
+                    net.nearest_intersection_linear(q),
+                    "{q:?}"
+                );
+            }
+        }
     }
 
     #[test]

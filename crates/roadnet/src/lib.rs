@@ -24,7 +24,7 @@ pub use artery_select::{
     apply_selection, extract_corridors, select_arteries, select_arteries_structural,
     shortest_path_usage, ArterySelectConfig, ArterySelection, Corridor,
 };
-pub use generators::{generate_grid, lattice_id, GridMapSpec};
+pub use generators::{generate_grid, lattice_id, GridMapSpec, MapSpecError};
 pub use graph::{
     Intersection, IntersectionId, Road, RoadClass, RoadId, RoadNetwork, RoadNetworkBuilder,
 };
@@ -43,6 +43,35 @@ mod proptests {
         let net = generate_grid(&GridMapSpec::paper(size), &mut SmallRng::seed_from_u64(0));
         let p = Partition::build(&net, 500.0);
         (net, p)
+    }
+
+    /// A roadless text map with nodes on a 25 m lattice, so irregular layouts,
+    /// coincident nodes and exact distance ties all occur.
+    fn text_net(cells: &[(i32, i32)]) -> RoadNetwork {
+        let mut text = String::from("# hlsrg-map v1\n");
+        for (x, y) in cells {
+            text.push_str(&format!("node {} {}\n", x * 25, y * 25));
+        }
+        from_map_text(&text).expect("well-formed map text")
+    }
+
+    /// Asserts the indexed lookup agrees with the linear scan at `q`.
+    fn assert_nearest_matches(net: &RoadNetwork, q: Point) {
+        assert_eq!(
+            net.nearest_intersection(q),
+            net.nearest_intersection_linear(q),
+            "nearest intersection to {q:?}"
+        );
+    }
+
+    /// Query points in and far outside `net`'s bbox, plus block centres and
+    /// edge midpoints of a 125 m lattice (four- and two-way ties).
+    fn probe_points(xs: &[(f64, f64)]) -> impl Iterator<Item = Point> + '_ {
+        let ties = (0..6).flat_map(|i| {
+            let c = 62.5 + 125.0 * i as f64;
+            [Point::new(c, c), Point::new(c, 125.0 * i as f64)]
+        });
+        xs.iter().map(|&(x, y)| Point::new(x, y)).chain(ties)
     }
 
     proptest! {
@@ -97,6 +126,53 @@ mod proptests {
                 cur = net.other_end(rid, cur); // panics if rid not incident to cur
             }
             prop_assert_eq!(cur, b);
+        }
+
+        /// The bucket-indexed nearest-intersection lookup returns exactly the
+        /// linear scan's answer on paper and jittered lattices, in and outside
+        /// the map, at exact ties, and after a text round trip or a clone.
+        #[test]
+        fn nearest_intersection_matches_linear_scan(
+            seed in 0u64..1_000,
+            size in prop_oneof![Just(500.0), Just(1_000.0), Just(2_000.0)],
+            jitter in 0.0f64..60.0,
+            xs in collection::vec((-3_000.0f64..5_000.0, -3_000.0f64..5_000.0), 40),
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for spec in [GridMapSpec::paper(size), GridMapSpec::jittered(size, jitter)] {
+                let net = generate_grid(&spec, &mut rng);
+                for q in probe_points(&xs) {
+                    assert_nearest_matches(&net, q);
+                }
+                let reread = from_map_text(&to_map_text(&net)).expect("round trip");
+                let cloned = net.clone();
+                for q in probe_points(&xs) {
+                    assert_nearest_matches(&reread, q);
+                    assert_nearest_matches(&cloned, q);
+                }
+            }
+        }
+
+        /// Same property on irregular point sets: clustered, coincident, and
+        /// degenerate (one node, or all nodes on a line).
+        #[test]
+        fn nearest_intersection_matches_linear_scan_on_text_maps(
+            cells in collection::vec((-4i32..40, -4i32..40), 1..60),
+            line in any::<bool>(),
+            xs in collection::vec((-500.0f64..1_500.0, -500.0f64..1_500.0), 40),
+        ) {
+            let cells: Vec<(i32, i32)> = if line {
+                cells.iter().map(|&(x, _)| (x, 3)).collect()
+            } else {
+                cells
+            };
+            let net = text_net(&cells);
+            for q in probe_points(&xs) {
+                assert_nearest_matches(&net, q);
+            }
+            for node in net.intersections() {
+                assert_nearest_matches(&net, node.pos);
+            }
         }
 
         /// Jittered maps keep every L1 center inside (or near the closed border of)

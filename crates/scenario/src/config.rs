@@ -3,12 +3,13 @@
 use hlsrg::HlsrgConfig;
 use rlsmp::RlsmpConfig;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use vanet_des::SimDuration;
 use vanet_des::SimTime;
 use vanet_mobility::MobilityConfig;
 use vanet_mobility::VehicleId;
 use vanet_net::RadioConfig;
-use vanet_roadnet::GridMapSpec;
+use vanet_roadnet::{GridMapSpec, MapSpecError};
 
 /// Which location service a run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -137,31 +138,105 @@ impl SimConfig {
     }
 
     /// Sanity-checks the configuration, panicking on nonsense.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`] that [`SimConfig::check`] reports.
     pub fn validate(&self) {
-        assert!(self.vehicles > 0, "need at least one vehicle");
-        assert!(self.duration > self.warmup, "duration must exceed warmup");
-        assert!(
-            (0.0..=1.0).contains(&self.query_fraction),
-            "query fraction must be a probability"
-        );
-        if let Some(qs) = &self.explicit_queries {
-            for &(_, s, d) in qs {
-                assert!((s.0 as usize) < self.vehicles, "query source out of range");
-                assert!(
-                    (d.0 as usize) < self.vehicles,
-                    "query destination out of range"
-                );
-                assert_ne!(s, d, "self-queries are meaningless");
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// Checks the configuration, reporting the first nonsense setting.
+    ///
+    /// The generated map is checked only when no `map_text` overrides it.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        if self.vehicles == 0 {
+            return Err(ConfigError::NoVehicles);
+        }
+        if self.map_text.is_none() {
+            self.map.check().map_err(ConfigError::Map)?;
+        }
+        if self.duration <= self.warmup {
+            return Err(ConfigError::WarmupNotBeforeEnd);
+        }
+        if !(0.0..=1.0).contains(&self.query_fraction) {
+            return Err(ConfigError::QueryFraction);
+        }
+        for &(_, s, d) in self.explicit_queries.iter().flatten() {
+            if s.0 as usize >= self.vehicles {
+                return Err(ConfigError::QuerySource);
+            }
+            if d.0 as usize >= self.vehicles {
+                return Err(ConfigError::QueryDestination);
+            }
+            if s == d {
+                return Err(ConfigError::SelfQuery);
             }
         }
-        assert!(self.l1_size > 0.0, "positive L1 size required");
-        if let Some(iv) = self.telemetry_interval {
-            assert!(!iv.is_zero(), "telemetry interval must be positive");
+        if self.l1_size.is_nan() || self.l1_size <= 0.0 {
+            return Err(ConfigError::L1Size);
         }
-        assert!(self.shards >= 1, "need at least one event-queue shard");
-        assert!(self.threads >= 1, "need at least one executor thread");
+        if self.telemetry_interval.is_some_and(|iv| iv.is_zero()) {
+            return Err(ConfigError::TelemetryInterval);
+        }
+        if self.shards == 0 {
+            return Err(ConfigError::NoShards);
+        }
+        if self.threads == 0 {
+            return Err(ConfigError::NoThreads);
+        }
+        Ok(())
     }
 }
+
+/// A [`SimConfig`] setting no run can use.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `vehicles` is zero.
+    NoVehicles,
+    /// The map generator spec cannot be built.
+    Map(MapSpecError),
+    /// `warmup` does not end before `duration`.
+    WarmupNotBeforeEnd,
+    /// `query_fraction` is not a probability.
+    QueryFraction,
+    /// An explicit query's source is not a vehicle.
+    QuerySource,
+    /// An explicit query's destination is not a vehicle.
+    QueryDestination,
+    /// An explicit query targets its own source.
+    SelfQuery,
+    /// `l1_size` is not positive.
+    L1Size,
+    /// `telemetry_interval` is zero.
+    TelemetryInterval,
+    /// `shards` is zero.
+    NoShards,
+    /// `threads` is zero.
+    NoThreads,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NoVehicles => write!(f, "need at least one vehicle"),
+            ConfigError::Map(e) => write!(f, "{e}"),
+            ConfigError::WarmupNotBeforeEnd => write!(f, "duration must exceed warmup"),
+            ConfigError::QueryFraction => write!(f, "query fraction must be a probability"),
+            ConfigError::QuerySource => write!(f, "query source out of range"),
+            ConfigError::QueryDestination => write!(f, "query destination out of range"),
+            ConfigError::SelfQuery => write!(f, "self-queries are meaningless"),
+            ConfigError::L1Size => write!(f, "positive L1 size required"),
+            ConfigError::TelemetryInterval => write!(f, "telemetry interval must be positive"),
+            ConfigError::NoShards => write!(f, "need at least one event-queue shard"),
+            ConfigError::NoThreads => write!(f, "need at least one executor thread"),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -178,6 +253,28 @@ mod tests {
     fn protocol_names() {
         assert_eq!(Protocol::Hlsrg.name(), "HLSRG");
         assert_eq!(Protocol::Rlsmp.name(), "RLSMP");
+    }
+
+    #[test]
+    fn check_names_the_bad_setting() {
+        assert_eq!(
+            SimConfig::paper_2km(0, 0).check(),
+            Err(ConfigError::NoVehicles)
+        );
+        assert!(matches!(
+            SimConfig::paper_fig3_2(10.0, 5, 0).check(),
+            Err(ConfigError::Map(MapSpecError::NoRoads { .. }))
+        ));
+        let mut c = SimConfig::paper_2km(5, 0);
+        c.map_text = Some("node 0 0\n".into());
+        c.map.width = 0.0;
+        assert_eq!(c.check(), Ok(()), "a map text overrides the generator");
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one vehicle")]
+    fn zero_vehicles_rejected() {
+        SimConfig::paper_2km(0, 0).validate();
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub use bench::{
     append_trajectory, compare_trajectory, parse_trajectory, run_bench, BenchOptions, BenchRecord,
     BenchScale, CompareRow, BENCH_SHARD_COUNTS,
 };
-pub use config::{Protocol, SimConfig};
+pub use config::{ConfigError, Protocol, SimConfig};
 pub use figures::{fig3_2, fig3_3, fig3_345, fig3_4, fig3_5, ComparisonPoint, Figure, FigureScale};
 pub use metrics::{AveragedReport, PhaseTimingRow, RunReport, TimelinePoint};
 pub use plot::{ascii_chart, svg_chart};

@@ -15,10 +15,10 @@
 
 use hlsrg_suite::des::{SimDuration, SimTime};
 use hlsrg_suite::mobility::{LightConfig, MobilityConfig, MobilityModel, Ns2Trace, TrafficLights};
-use hlsrg_suite::roadnet::{generate_grid, to_map_text, GridMapSpec};
+use hlsrg_suite::roadnet::{generate_grid, to_map_text, GridMapSpec, MapSpecError};
 use hlsrg_suite::scenario::{
     fig3_2, fig3_345, replicate_averaged, run_simulation, run_simulation_instrumented,
-    BenchOptions, BenchScale, FigureScale, Protocol, RunReport, SimConfig,
+    BenchOptions, BenchScale, ConfigError, FigureScale, Protocol, RunReport, SimConfig,
 };
 use hlsrg_suite::trace::{cause_name, registry_from_events, TraceEvent};
 use rand::rngs::SmallRng;
@@ -199,19 +199,57 @@ fn protocol_of(flags: &Flags) -> Protocol {
     }
 }
 
+/// Ends the process with a one-line error naming a flag whose well-formed
+/// value still describes no runnable world.
+fn unusable(name: &str, flags: &Flags, why: impl std::fmt::Display) -> ! {
+    let value = flags.get(name).map_or("", String::as_str);
+    eprintln!("error: --{name} {value}: {why}");
+    std::process::exit(1)
+}
+
+/// A positive, finite number of seconds from `--name`.
+fn get_secs(flags: &Flags, name: &str, default: f64) -> f64 {
+    let secs = get(flags, name, default);
+    if !(secs > 0.0 && secs.is_finite()) {
+        bad_value(name, "a positive number of seconds", &flags[name]);
+    }
+    secs
+}
+
+/// The paper scenario the `run`/`compare` flags describe, rejected before
+/// any world is built if no simulation could run on it.
 fn config_of(flags: &Flags) -> SimConfig {
     let vehicles = get(flags, "vehicles", 500usize);
     let map_size = get(flags, "map-size", 2000.0f64);
     let seed = get(flags, "seed", 42u64);
     let mut cfg = SimConfig::paper_fig3_2(map_size, vehicles, seed);
-    let duration = get(flags, "duration", cfg.duration.as_secs_f64());
+    let duration = get_secs(flags, "duration", cfg.duration.as_secs_f64());
     cfg.duration = SimDuration::from_secs_f64(duration);
     if cfg.warmup + SimDuration::from_secs(10) > cfg.duration {
         cfg.warmup = cfg.duration.mul_f64(0.3);
     }
     cfg.shards = get(flags, "shards", 1usize).max(1);
     cfg.threads = get(flags, "threads", cfg.shards).max(1);
-    cfg
+    match cfg.check() {
+        Ok(()) => cfg,
+        Err(e @ ConfigError::NoVehicles) => unusable("vehicles", flags, e),
+        Err(e @ ConfigError::Map(_)) => unusable("map-size", flags, e),
+        Err(e @ ConfigError::WarmupNotBeforeEnd) => unusable("duration", flags, e),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
+/// The `--size` lattice of `map`/`trace`, rejected if it cannot be built.
+fn map_spec_of(flags: &Flags, jitter: f64) -> GridMapSpec {
+    let spec = GridMapSpec::jittered(get(flags, "size", 2000.0f64), jitter);
+    match spec.check() {
+        Ok(()) => spec,
+        Err(e @ MapSpecError::Jitter) => unusable("jitter", flags, e),
+        Err(e) => unusable("size", flags, e),
+    }
 }
 
 fn print_report(r: &RunReport, csv: bool) {
@@ -564,14 +602,11 @@ fn cmd_compare(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_trace(flags: &Flags) -> ExitCode {
-    let size = get(flags, "size", 2000.0f64);
+    let spec = map_spec_of(flags, 0.0);
     let vehicles = get(flags, "vehicles", 500usize);
-    let duration = get(flags, "duration", 300.0f64);
+    let duration = get_secs(flags, "duration", 300.0);
     let seed = get(flags, "seed", 0u64);
-    let net = generate_grid(
-        &GridMapSpec::paper(size),
-        &mut SmallRng::seed_from_u64(seed),
-    );
+    let net = generate_grid(&spec, &mut SmallRng::seed_from_u64(seed));
     let lights = TrafficLights::new(&net, LightConfig::default());
     let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(1));
     let mut model = MobilityModel::new(&net, MobilityConfig::default(), vehicles, &mut rng);
@@ -948,14 +983,8 @@ fn cmd_bench(flags: &Flags) -> ExitCode {
 }
 
 fn cmd_map(flags: &Flags) -> ExitCode {
-    let size = get(flags, "size", 2000.0f64);
-    let jitter = get(flags, "jitter", 0.0f64);
+    let spec = map_spec_of(flags, get(flags, "jitter", 0.0f64));
     let seed = get(flags, "seed", 0u64);
-    let spec = if jitter > 0.0 {
-        GridMapSpec::jittered(size, jitter)
-    } else {
-        GridMapSpec::paper(size)
-    };
     let net = generate_grid(&spec, &mut SmallRng::seed_from_u64(seed));
     let text = to_map_text(&net);
     match flags.get("out") {

@@ -18,9 +18,10 @@ fn stderr_of(out: &Output) -> String {
 /// of silently running with the default.
 fn assert_rejected(args: &[&str], flag: &str) {
     let out = run(args);
-    assert!(!out.status.success(), "{args:?} must fail");
+    assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
     assert!(out.stdout.is_empty(), "{args:?} must not run a simulation");
     let err = stderr_of(&out);
+    assert!(!err.contains("panicked"), "{args:?} panicked:\n{err}");
     let lines: Vec<_> = err.lines().collect();
     assert_eq!(lines.len(), 1, "one error line for {args:?}, got:\n{err}");
     assert!(
@@ -40,6 +41,23 @@ fn malformed_flag_values_are_rejected() {
         "--telemetry-interval",
     );
     assert_rejected(&["compare", "--reps", "3x"], "--reps");
+}
+
+/// Well-formed values that describe no runnable world — no roads, no
+/// vehicles, more intersections than `u32` ids — are rejected before the
+/// world is built rather than panicking inside it.
+#[test]
+fn unrunnable_worlds_are_rejected() {
+    for size in ["10", "0", "-5", "nan", "1e9"] {
+        assert_rejected(&["run", "--map-size", size], "--map-size");
+        assert_rejected(&["trace", "--size", size], "--size");
+        assert_rejected(&["map", "--size", size], "--size");
+    }
+    assert_rejected(&["run", "--vehicles", "0"], "--vehicles");
+    assert_rejected(&["compare", "--vehicles", "0"], "--vehicles");
+    assert_rejected(&["run", "--duration", "0"], "--duration");
+    assert_rejected(&["trace", "--duration", "-1"], "--duration");
+    assert_rejected(&["map", "--jitter", "nan"], "--jitter");
 }
 
 #[test]
