@@ -34,7 +34,10 @@ mod tests {
         Emission {
             delay: SimDuration::from_millis(1),
             to: NodeId(0),
-            transport: Transport::Local { class, payload: 0 },
+            transport: Transport::Local {
+                class,
+                payload: std::rc::Rc::new(0),
+            },
         }
     }
 

@@ -81,7 +81,7 @@ pub struct Oracle {
 pub fn class_ix<P>(t: &Transport<P>) -> usize {
     match t {
         Transport::Local { class, .. } => class.index(),
-        Transport::Gpsr { class, .. } => class.index(),
+        Transport::Gpsr(packet) => packet.class.index(),
     }
 }
 
@@ -126,7 +126,7 @@ impl Oracle {
         self.consumed[ix] += 1;
         let (class, gpsr) = match t {
             Transport::Local { class, .. } => (*class, None),
-            Transport::Gpsr { header, class, .. } => (*class, Some(*header)),
+            Transport::Gpsr(packet) => (packet.class, Some(packet.header)),
         };
         PendingDeliver {
             class,
@@ -180,7 +180,7 @@ impl Oracle {
         // GPSR emission, or one routing drop.
         let gpsr_followups: Vec<&Emission<P>> = followups
             .iter()
-            .filter(|e| matches!(e.transport, Transport::Gpsr { .. }))
+            .filter(|e| matches!(e.transport, Transport::Gpsr(_)))
             .collect();
         let outcomes = u32::from(arrived) + gpsr_followups.len() as u32 + u32::from(drop_delta > 0);
         if outcomes != 1 || drop_delta > 1 || followups.len() != gpsr_followups.len() {
@@ -211,9 +211,10 @@ impl Oracle {
         // Forwarded: per-hop GPSR sanity.
         self.forwards[ix] += 1;
         let fwd = gpsr_followups[0];
-        let Transport::Gpsr { header: after, .. } = &fwd.transport else {
+        let Transport::Gpsr(packet) = &fwd.transport else {
             unreachable!("filtered to gpsr transports");
         };
+        let after = &packet.header;
         if after.ttl >= before.ttl {
             self.report(
                 "gpsr-loop-freedom",

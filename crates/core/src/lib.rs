@@ -582,6 +582,17 @@ mod protocol_tests {
         let rig = Rig::new(&[G0_CENTER]);
         assert!(Arc::strong_count(&rig.partition) >= 2);
     }
+
+    /// Every queued HLSRG event moves at most 40 bytes: large, rare timer
+    /// fields are boxed so they do not widen the common case.
+    #[test]
+    fn effect_fits_in_forty_bytes() {
+        let size = std::mem::size_of::<Effect<HlsrgPayload, HlsrgTimer>>();
+        assert!(
+            size <= 40,
+            "Effect<HlsrgPayload, HlsrgTimer> is {size} bytes"
+        );
+    }
 }
 
 #[cfg(test)]

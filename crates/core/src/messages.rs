@@ -162,8 +162,9 @@ pub enum HlsrgTimer {
         query: QueryId,
         /// The elected location server.
         server: NodeId,
-        /// Last-known whereabouts of the destination.
-        source: NotifySource,
+        /// Last-known whereabouts of the destination (boxed, like the
+        /// other large timer fields, to keep every queued event small).
+        source: Box<NotifySource>,
         /// Asking vehicle.
         src: VehicleId,
         /// Sought vehicle.
@@ -174,7 +175,7 @@ pub enum HlsrgTimer {
         /// Node that forwards the request.
         server: NodeId,
         /// The request, already restaged at the next level.
-        request: RequestPacket,
+        request: Box<RequestPacket>,
     },
     /// Periodic L1-center table push to the L2 RSU.
     L1Collect {

@@ -480,12 +480,12 @@ impl HlsrgProtocol {
                             key: HlsrgTimer::ServeNotify {
                                 query: req.query,
                                 server: at,
-                                source: NotifySource {
+                                source: Box::new(NotifySource {
                                     pos: e.pos,
                                     heading: e.heading,
                                     road_class: e.road_class,
                                     l1: e.l1,
-                                },
+                                }),
                                 src: req.src,
                                 dst: req.dst,
                             },
@@ -525,7 +525,7 @@ impl HlsrgProtocol {
                             delay,
                             key: HlsrgTimer::Escalate {
                                 server: at,
-                                request: req,
+                                request: Box::new(req),
                             },
                         }]
                     }
@@ -943,12 +943,12 @@ impl LocationService for HlsrgProtocol {
                 source,
                 src,
                 dst,
-            } => self.handle_serve_notify(core, query, server, source, src, dst),
+            } => self.handle_serve_notify(core, query, server, *source, src, dst),
             HlsrgTimer::Escalate { server, request } => {
                 if self.log.is_complete(request.query) {
                     Vec::new()
                 } else {
-                    self.dispatch_request(core, server, request)
+                    self.dispatch_request(core, server, *request)
                 }
             }
             HlsrgTimer::QueryTimeout { query, src, dst } => {

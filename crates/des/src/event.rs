@@ -31,8 +31,8 @@
 //!
 //! * **Buckets are unsorted vecs with a cached minimum key**: an insert is a pure
 //!   `Vec::push` plus one key compare — no sorted-insert memmove, which matters
-//!   for direct users whose payloads run to ~200 bytes (the epoch executor's
-//!   shard queues hold 16-byte slab keys instead). A pop scans its bucket once for
+//!   most for direct users that store whole events (the epoch executor's shard
+//!   queues hold 16-byte slab keys instead). A pop scans its bucket once for
 //!   the minimum `(time, seq)` (tracking the runner-up to refresh the cache) and
 //!   `swap_remove`s it; the rotation scan consults only the cached keys.
 //! * **The span maps windows to buckets bijectively** (`cal_end - cal_start` never

@@ -56,10 +56,12 @@
 //! the commit thread when its event executes. Everything in between — the
 //! mailboxes, the per-shard calendar queues, the drained batches with their
 //! sort and reversal, the overlay heap and the worker-channel messages —
-//! carries only a key: `(time, global seq, slot)`, 24–32 bytes instead of a
-//! ~200-byte radio delivery. Workers therefore never touch a payload, and a
+//! carries only a key: `(time, global seq, slot)`, 24–32 bytes, whatever
+//! the payload's size. Workers therefore never touch a payload, and a
 //! same-instant join burst of hundreds of thousands of deliveries costs one
-//! payload copy each instead of one per queue stage.
+//! payload write each instead of one per queue stage. For the same reason
+//! the payload type need not be `Send`: the slab never leaves the commit
+//! thread.
 //!
 //! Every queue decision — calendar resizes, width recalibrations, bucket
 //! scans, epoch frontiers — is a function of keys alone, so the pop stream
@@ -265,8 +267,10 @@ fn worker_loop(
 ///
 /// Unlike [`ShardedQueue`], construction requires a strictly positive
 /// lookahead even for one shard: the epoch machinery is lookahead-paced.
+/// `E` need not be `Send`, even with worker threads: payloads stay in the
+/// commit thread's slab and workers see only keys.
 #[derive(Debug)]
-pub struct EpochExecutor<E: Send + 'static> {
+pub struct EpochExecutor<E> {
     ledger: SyncLedger,
     backend: Backend,
     /// Every pending payload; the structures below hold slots into it.
@@ -306,7 +310,7 @@ impl std::fmt::Debug for Backend {
     }
 }
 
-impl<E: Send + 'static> EpochExecutor<E> {
+impl<E> EpochExecutor<E> {
     /// Creates an executor with default-sized per-shard queues. `threads` is
     /// clamped to `1..=shards`; with one thread the epochs run inline on the
     /// calling thread.
@@ -782,7 +786,7 @@ fn propagate_worker_panic(handles: &mut [Option<JoinHandle<()>>]) -> ! {
     panic!("epoch worker disconnected without panicking");
 }
 
-impl<E: Send + 'static> Drop for EpochExecutor<E> {
+impl<E> Drop for EpochExecutor<E> {
     fn drop(&mut self) {
         if let Backend::Threaded {
             to_workers,
@@ -810,8 +814,8 @@ mod tests {
     use super::*;
     use crate::shard::ShardedQueue;
     use proptest::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     const LA: SimDuration = SimDuration::from_millis(1);
 
@@ -1011,34 +1015,63 @@ mod tests {
         drop(ex); // must join, not hang or leak panics
     }
 
-    /// A payload that counts its own drops.
-    struct Counted(Arc<AtomicUsize>);
+    /// A payload that counts its own drops. Its `Rc` makes it `!Send`, which
+    /// the executor allows even with worker threads: payloads never leave
+    /// the commit thread.
+    struct Counted {
+        id: u64,
+        drops: Rc<Cell<usize>>,
+    }
 
     impl Drop for Counted {
         fn drop(&mut self) {
-            self.0.fetch_add(1, Ordering::Relaxed);
+            self.drops.set(self.drops.get() + 1);
         }
+    }
+
+    /// Schedules one counted payload on `ex` and its id on the reference.
+    fn schedule_both(
+        ex: &mut EpochExecutor<Counted>,
+        refq: &mut ShardedQueue<u64>,
+        drops: &Rc<Cell<usize>>,
+        (shard, at, id): (usize, SimTime, u64),
+    ) {
+        let drops = Rc::clone(drops);
+        ex.schedule_at(shard, at, Counted { id, drops });
+        refq.schedule_at(shard, at, id);
+    }
+
+    /// Pops from both queues, asserting the streams agree.
+    fn pop_both(ex: &mut EpochExecutor<Counted>, refq: &mut ShardedQueue<u64>) -> SimTime {
+        let (t, shard, payload) = ex.pop().expect("an event is due");
+        assert_eq!(
+            Some((t, shard, payload.id)),
+            refq.pop(),
+            "pop streams diverged"
+        );
+        t
     }
 
     #[test]
     fn every_payload_is_popped_or_dropped_exactly_once() {
         for threads in [1, 2] {
-            let drops = Arc::new(AtomicUsize::new(0));
-            let counted = || Counted(Arc::clone(&drops));
+            let drops = Rc::new(Cell::new(0));
             let mut ex = EpochExecutor::new(2, threads, LA).unwrap();
+            let mut refq = ShardedQueue::new(2, LA).unwrap();
             // Ten events inside the first epoch's span, the rest far beyond.
             for i in 0..10u64 {
-                ex.schedule_at(i as usize % 2, SimTime::from_micros(i * 50), counted());
+                let ev = (i as usize % 2, SimTime::from_micros(i * 50), i);
+                schedule_both(&mut ex, &mut refq, &drops, ev);
             }
             for i in 0..10u64 {
-                ex.schedule_at(i as usize % 2, SimTime::from_millis(50 + i), counted());
+                let ev = (i as usize % 2, SimTime::from_millis(50 + i), 10 + i);
+                schedule_both(&mut ex, &mut refq, &drops, ev);
             }
-            let (t, shard, first) = ex.pop().expect("ten events are due");
-            drop(first);
+            let t = pop_both(&mut ex, &mut refq);
             // A commit-phase schedule inside the frontier, one beyond it.
-            ex.schedule_at(1 - shard, t, counted());
-            ex.schedule_at(shard, SimTime::from_secs(1), counted());
-            assert_eq!(drops.load(Ordering::Relaxed), 1);
+            schedule_both(&mut ex, &mut refq, &drops, (1, t, 20));
+            schedule_both(&mut ex, &mut refq, &drops, (0, SimTime::from_secs(1), 21));
+            assert_eq!(drops.get(), 1);
 
             assert!(!ex.overlay.is_empty(), "overlay holds an event");
             assert!(
@@ -1056,8 +1089,14 @@ mod tests {
             let pending = ex.len();
             assert_eq!(pending, 21);
             assert_eq!(ex.slab.slots.len() - ex.slab.free.len(), pending);
+            // Half the rest pops in the reference order; the other half is
+            // dropped with the executor.
+            for _ in 0..10 {
+                pop_both(&mut ex, &mut refq);
+            }
+            assert_eq!(drops.get(), 11, "threads {threads}");
             drop(ex);
-            assert_eq!(drops.load(Ordering::Relaxed), 22, "threads {threads}");
+            assert_eq!(drops.get(), 22, "threads {threads}");
         }
     }
 

@@ -19,32 +19,42 @@ use crate::node::{NodeId, NodeRegistry};
 use crate::radio::RadioConfig;
 use crate::wired::WiredNetwork;
 use rand::rngs::SmallRng;
+use std::rc::Rc;
 use vanet_des::{SimDuration, SimTime};
 use vanet_geo::{BBox, Point, Vec2};
 use vanet_roadnet::RsuId;
 use vanet_trace::{Phase, PhaseTimings, TraceEvent, Tracer};
 
-/// In-flight packet state carried by a scheduled delivery.
+/// In-flight packet state carried by a scheduled delivery: two machine words.
+///
+/// A broadcast reaches tens of recipients with one payload, so every
+/// recipient's `Local` shares one [`Rc`] instead of owning a clone. GPSR
+/// packets travel alone and keep their header, class, size and payload in
+/// one box that is reused hop after hop.
 #[derive(Debug, Clone)]
 pub enum Transport<P> {
     /// Final-hop delivery: hand `payload` to the protocol at the recipient.
     Local {
         /// Accounting class.
         class: PacketClass,
-        /// Protocol payload.
-        payload: P,
+        /// Protocol payload, shared by every recipient of one transmission.
+        payload: Rc<P>,
     },
     /// A GPSR packet in flight: the recipient must route it further (or accept it).
-    Gpsr {
-        /// Routing header.
-        header: GpsrHeader,
-        /// Accounting class.
-        class: PacketClass,
-        /// Packet size in bytes (drives per-hop delay).
-        size: usize,
-        /// Protocol payload.
-        payload: P,
-    },
+    Gpsr(Box<GpsrPacket<P>>),
+}
+
+/// A unicast packet routed hop by hop by GPSR.
+#[derive(Debug, Clone)]
+pub struct GpsrPacket<P> {
+    /// Routing header.
+    pub header: GpsrHeader,
+    /// Accounting class.
+    pub class: PacketClass,
+    /// Packet size in bytes (drives per-hop delay).
+    pub size: usize,
+    /// Protocol payload.
+    pub payload: P,
 }
 
 /// A scheduled future delivery.
@@ -94,6 +104,26 @@ pub struct NetworkCore {
     gpsr_scratch: GpsrScratch,
     /// Reused flood working set (dedup maps, frontier, neighbor buffer).
     flood_scratch: FloodScratch,
+}
+
+/// One `Local` emission per flood delivery, all sharing one `payload`.
+fn shared_deliveries<P>(
+    deliveries: Vec<(NodeId, SimDuration)>,
+    class: PacketClass,
+    payload: P,
+) -> Vec<Emission<P>> {
+    let payload = Rc::new(payload);
+    deliveries
+        .into_iter()
+        .map(|(to, delay)| Emission {
+            delay,
+            to,
+            transport: Transport::Local {
+                class,
+                payload: Rc::clone(&payload),
+            },
+        })
+        .collect()
 }
 
 impl NetworkCore {
@@ -154,7 +184,7 @@ impl NetworkCore {
     /// One-hop broadcast from `from`: every node in range draws reception.
     ///
     /// Costs exactly one transmission regardless of audience (it's a broadcast).
-    pub fn broadcast_onehop<P: Clone>(
+    pub fn broadcast_onehop<P>(
         &mut self,
         from: NodeId,
         class: PacketClass,
@@ -176,6 +206,7 @@ impl NetworkCore {
             n: 1,
         });
         let from_pos = self.registry.pos(from);
+        let payload = Rc::new(payload);
         let mut out = Vec::new();
         // Take the scratch buffer so iterating it doesn't hold a borrow of self.
         let mut neighbors = std::mem::take(&mut self.neighbor_scratch);
@@ -192,7 +223,7 @@ impl NetworkCore {
                     to: n,
                     transport: Transport::Local {
                         class,
-                        payload: payload.clone(),
+                        payload: Rc::clone(&payload),
                     },
                 });
             }
@@ -217,35 +248,38 @@ impl NetworkCore {
             node: from.0,
             class: class.index() as u8,
         });
-        let header = GpsrHeader::new(target, dst_pos);
-        match self.gpsr_process(from, header, class, size, payload) {
+        let packet = Box::new(GpsrPacket {
+            header: GpsrHeader::new(target, dst_pos),
+            class,
+            size,
+            payload,
+        });
+        match self.gpsr_process(from, packet) {
             Routed::Arrived { class, payload } => vec![Emission {
                 delay: SimDuration::ZERO,
                 to: from,
-                transport: Transport::Local { class, payload },
+                transport: Transport::Local {
+                    class,
+                    payload: Rc::new(payload),
+                },
             }],
             Routed::Forward(e) => vec![e],
             Routed::Dropped => Vec::new(),
         }
     }
 
-    /// Routes (or accepts) a GPSR packet sitting at `at`.
+    /// Routes (or accepts) a GPSR packet sitting at `at`. A forwarded packet
+    /// keeps its box; only the header changes.
     ///
     /// On MAC retry exhaustion toward a chosen neighbor, the neighbor is
     /// blacklisted and routing re-runs — the link-layer-feedback reroute of the
     /// original GPSR. Up to [`Self::MAX_REROUTES`] alternatives are tried before
     /// the packet is declared lost.
-    fn gpsr_process<P>(
-        &mut self,
-        at: NodeId,
-        header: GpsrHeader,
-        class: PacketClass,
-        size: usize,
-        payload: P,
-    ) -> Routed<P> {
+    fn gpsr_process<P>(&mut self, at: NodeId, mut packet: Box<GpsrPacket<P>>) -> Routed<P> {
         use crate::counters::DropKind;
         use crate::gpsr::{gpsr_step_scratch, GpsrFailure};
 
+        let (header, class, size) = (packet.header, packet.class, packet.size);
         let mut dead_neighbors: Vec<NodeId> = Vec::new();
         // Take the scratch so the timing closure borrows self only via fields.
         let mut scratch = std::mem::take(&mut self.gpsr_scratch);
@@ -262,7 +296,10 @@ impl NetworkCore {
             });
             match step {
                 GpsrStep::Arrived => {
-                    break Routed::Arrived { class, payload };
+                    break Routed::Arrived {
+                        class,
+                        payload: packet.payload,
+                    };
                 }
                 GpsrStep::Forward { next, header: fwd } => {
                     let (pa, pb) = (self.registry.pos(at), self.registry.pos(next));
@@ -326,15 +363,11 @@ impl NetworkCore {
                     for _ in 0..attempts {
                         delay += self.radio.hop_delay(size, &mut self.rng);
                     }
+                    packet.header = fwd;
                     break Routed::Forward(Emission {
                         delay,
                         to: next,
-                        transport: Transport::Gpsr {
-                            header: fwd,
-                            class,
-                            size,
-                            payload,
-                        },
+                        transport: Transport::Gpsr(packet),
                     });
                 }
                 GpsrStep::Fail(f) => {
@@ -398,13 +431,16 @@ impl NetworkCore {
         vec![Emission {
             delay,
             to: to_node,
-            transport: Transport::Local { class, payload },
+            transport: Transport::Local {
+                class,
+                payload: Rc::new(payload),
+            },
         }]
     }
 
     /// Directional geo-broadcast along a road corridor (HLSRG's target search).
     #[allow(clippy::too_many_arguments)]
-    pub fn geo_broadcast_directional<P: Clone>(
+    pub fn geo_broadcast_directional<P>(
         &mut self,
         from: NodeId,
         start: Point,
@@ -442,21 +478,11 @@ impl NetworkCore {
             class: class.index() as u8,
             n: res.transmissions,
         });
-        res.deliveries
-            .into_iter()
-            .map(|(n, delay)| Emission {
-                delay,
-                to: n,
-                transport: Transport::Local {
-                    class,
-                    payload: payload.clone(),
-                },
-            })
-            .collect()
+        shared_deliveries(res.deliveries, class, payload)
     }
 
     /// Region flood inside a grid cell.
-    pub fn geo_broadcast_region<P: Clone>(
+    pub fn geo_broadcast_region<P>(
         &mut self,
         from: NodeId,
         region: &BBox,
@@ -488,23 +514,16 @@ impl NetworkCore {
             class: class.index() as u8,
             n: res.transmissions,
         });
-        res.deliveries
-            .into_iter()
-            .map(|(n, delay)| Emission {
-                delay,
-                to: n,
-                transport: Transport::Local {
-                    class,
-                    payload: payload.clone(),
-                },
-            })
-            .collect()
+        shared_deliveries(res.deliveries, class, payload)
     }
 
     /// Processes a fired delivery. Returns the payload if this was the final hop
     /// (for the protocol at `to`), plus at most one follow-up emission (GPSR
     /// forwarding) — so the per-event hot path allocates nothing.
-    pub fn handle_deliver_step<P>(
+    ///
+    /// A shared broadcast payload is cloned for every recipient but the last
+    /// one delivered, which takes the original.
+    pub fn handle_deliver_step<P: Clone>(
         &mut self,
         to: NodeId,
         transport: Transport<P>,
@@ -521,7 +540,7 @@ impl NetworkCore {
     /// [`handle_deliver_step`](Self::handle_deliver_step) with the follow-up
     /// lifted into a `Vec` — the allocating convenience form for tests and
     /// small drain loops.
-    pub fn handle_deliver<P>(
+    pub fn handle_deliver<P: Clone>(
         &mut self,
         to: NodeId,
         transport: Transport<P>,
@@ -530,7 +549,7 @@ impl NetworkCore {
         (arrived, more.into_iter().collect())
     }
 
-    fn handle_deliver_inner<P>(
+    fn handle_deliver_inner<P: Clone>(
         &mut self,
         to: NodeId,
         transport: Transport<P>,
@@ -542,16 +561,11 @@ impl NetworkCore {
                     node: to.0,
                     class: class.index() as u8,
                 });
-                (Some((class, payload)), None)
+                (Some((class, Rc::unwrap_or_clone(payload))), None)
             }
-            Transport::Gpsr {
-                header,
-                class,
-                size,
-                payload,
-            } => {
+            Transport::Gpsr(packet) => {
                 // Re-run the routing decision at the new holder.
-                match self.gpsr_process(to, header, class, size, payload) {
+                match self.gpsr_process(to, packet) {
                     Routed::Arrived { class, payload } => {
                         self.trace(|t| TraceEvent::Delivered {
                             t,
@@ -814,6 +828,81 @@ mod tests {
         // The lossless line delivers the query once and the broadcast twice.
         assert_eq!(tr.metrics.delivered(PacketClass::Query.index() as u8), 1);
         assert_eq!(tr.metrics.delivered(PacketClass::Update.index() as u8), 2);
+    }
+
+    /// A payload that counts how often it is cloned.
+    #[derive(Debug)]
+    struct Counted {
+        value: u32,
+        clones: Rc<std::cell::Cell<usize>>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            self.clones.set(self.clones.get() + 1);
+            Counted {
+                value: self.value,
+                clones: Rc::clone(&self.clones),
+            }
+        }
+    }
+
+    /// The shared payload of a batch of `Local` emissions.
+    fn local_payload<P>(e: &Emission<P>) -> &Rc<P> {
+        match &e.transport {
+            Transport::Local { payload, .. } => payload,
+            Transport::Gpsr(_) => panic!("broadcasts emit local deliveries"),
+        }
+    }
+
+    #[test]
+    fn broadcast_recipients_share_one_payload() {
+        let mut core = line_core(6, 300.0);
+        let corridor = BBox::new(-10.0, -10.0, 1510.0, 10.0);
+        let clones = Rc::new(std::cell::Cell::new(0));
+        let payload = |value| Counted {
+            value,
+            clones: Rc::clone(&clones),
+        };
+        let sends = [
+            core.broadcast_onehop(NodeId(2), PacketClass::Update, 64, payload(1)),
+            core.geo_broadcast_region(NodeId(0), &corridor, PacketClass::Query, 96, payload(2)),
+            core.geo_broadcast_directional(
+                NodeId(0),
+                Point::ORIGIN,
+                Vec2::new(1.0, 0.0),
+                1500.0,
+                50.0,
+                PacketClass::Query,
+                96,
+                payload(3),
+            ),
+        ];
+        for (emissions, value) in sends.into_iter().zip(1..) {
+            assert!(emissions.len() >= 2, "send {value} reached {emissions:?}");
+            let shared = Rc::clone(local_payload(&emissions[0]));
+            for e in &emissions {
+                assert!(Rc::ptr_eq(&shared, local_payload(e)), "send {value}");
+            }
+            let weak = Rc::downgrade(&shared);
+            drop(shared);
+            clones.set(0);
+            let n = emissions.len();
+            let got = drain(&mut core, emissions);
+            assert_eq!(got.len(), n);
+            assert!(got.iter().all(|(_, _, p)| p.value == value));
+            // Every recipient but the last gets a clone; the last takes the
+            // shared original, so nothing outlives the drain.
+            assert_eq!(clones.get(), n - 1);
+            assert!(weak.upgrade().is_none(), "send {value} leaked its payload");
+        }
+    }
+
+    #[test]
+    fn in_flight_packets_are_two_words() {
+        use std::mem::size_of;
+        assert!(size_of::<Transport<[u64; 32]>>() <= 16);
+        assert!(size_of::<Emission<[u64; 32]>>() <= 32);
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub mod service;
 pub mod sync;
 pub mod wired;
 
-pub use crate::core::{Emission, NetworkCore, Transport};
+pub use crate::core::{Emission, GpsrPacket, NetworkCore, Transport};
 pub use counters::{DropKind, NetCounters, PacketClass};
 pub use flood::{directional_broadcast, region_broadcast, FloodResult, FloodScratch};
 pub use gpsr::{

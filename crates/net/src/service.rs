@@ -33,9 +33,11 @@ pub fn deliveries<P, T>(emissions: Vec<Emission<P>>) -> Vec<Effect<P, T>> {
 
 /// A location-service protocol under test.
 ///
-/// Payload and timer types must be `Send + 'static`, the bound of the epoch
-/// executor's public API (`run --shards N --threads M`). Today its workers
-/// handle only slab keys; payloads and handlers stay on the commit thread.
+/// Payload and timer types are `Send + 'static`. No executor needs this:
+/// its workers only see queue keys, and an in-flight packet shares its
+/// payload through a non-`Send` [`std::rc::Rc`] anyway. The bound stays
+/// because it is public API that generic callers name, and it keeps
+/// protocol messages free to cross threads.
 pub trait LocationService {
     /// Wire payload type.
     type Payload: Clone + std::fmt::Debug + Send + 'static;

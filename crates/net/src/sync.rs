@@ -32,7 +32,7 @@ use vanet_des::SimDuration;
 /// Why a conservative lookahead could not be derived — each case is a
 /// degenerate configuration that would stall a sharded run at its first
 /// epoch barrier, reported up front instead of deadlocking.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LookaheadError {
     /// `RadioConfig::per_hop_overhead` is zero: a radio packet could cross a
     /// region boundary in zero simulated time.

@@ -403,6 +403,17 @@ mod protocol_tests {
             0
         );
     }
+
+    /// Every queued RLSMP event moves at most 40 bytes: the rare recheck
+    /// timer boxes its request so it does not widen the common case.
+    #[test]
+    fn effect_fits_in_forty_bytes() {
+        let size = std::mem::size_of::<Effect<RlsmpPayload, RlsmpTimer>>();
+        assert!(
+            size <= 40,
+            "Effect<RlsmpPayload, RlsmpTimer> is {size} bytes"
+        );
+    }
 }
 
 #[cfg(test)]

@@ -148,8 +148,9 @@ pub enum RlsmpTimer {
     Recheck {
         /// Node that re-processes the request.
         server: NodeId,
-        /// The pending request (with `waited = true`).
-        request: RlsmpRequest,
+        /// The pending request (with `waited = true`), boxed to keep every
+        /// queued event small.
+        request: Box<RlsmpRequest>,
     },
 }
 
@@ -362,7 +363,7 @@ impl RlsmpProtocol {
                 delay: self.cfg.query_wait,
                 key: RlsmpTimer::Recheck {
                     server: at,
-                    request: req,
+                    request: Box::new(req),
                 },
             }];
         }
@@ -626,7 +627,7 @@ impl LocationService for RlsmpProtocol {
         match key {
             RlsmpTimer::Aggregate { cell } => self.handle_aggregate(core, cell, now),
             RlsmpTimer::Recheck { server, request } => {
-                self.handle_request(core, server, request, now)
+                self.handle_request(core, server, *request, now)
             }
         }
     }

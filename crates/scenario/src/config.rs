@@ -8,8 +8,11 @@ use vanet_des::SimDuration;
 use vanet_des::SimTime;
 use vanet_mobility::MobilityConfig;
 use vanet_mobility::VehicleId;
-use vanet_net::RadioConfig;
+use vanet_net::{conservative_lookahead, LookaheadError, RadioConfig};
 use vanet_roadnet::{GridMapSpec, MapSpecError};
+
+/// Per-link latency of HLSRG's wired RSU backbone.
+pub(crate) const WIRED_LINK_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// Which location service a run exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -184,6 +187,11 @@ impl SimConfig {
         if self.shards == 0 {
             return Err(ConfigError::NoShards);
         }
+        if self.shards > 1 {
+            let wired = self.wired_backbone.then_some(WIRED_LINK_DELAY);
+            conservative_lookahead(&self.radio, wired, self.mobility.max_speed)
+                .map_err(ConfigError::Lookahead)?;
+        }
         if self.threads == 0 {
             return Err(ConfigError::NoThreads);
         }
@@ -214,6 +222,9 @@ pub enum ConfigError {
     TelemetryInterval,
     /// `shards` is zero.
     NoShards,
+    /// `shards` is above one, but the radio and mobility settings give no
+    /// conservative lookahead to synchronise the shards by.
+    Lookahead(LookaheadError),
     /// `threads` is zero.
     NoThreads,
 }
@@ -231,6 +242,7 @@ impl fmt::Display for ConfigError {
             ConfigError::L1Size => write!(f, "positive L1 size required"),
             ConfigError::TelemetryInterval => write!(f, "telemetry interval must be positive"),
             ConfigError::NoShards => write!(f, "need at least one event-queue shard"),
+            ConfigError::Lookahead(e) => write!(f, "cannot shard this run: {e}"),
             ConfigError::NoThreads => write!(f, "need at least one executor thread"),
         }
     }
@@ -269,6 +281,39 @@ mod tests {
         c.map_text = Some("node 0 0\n".into());
         c.map.width = 0.0;
         assert_eq!(c.check(), Ok(()), "a map text overrides the generator");
+    }
+
+    #[test]
+    fn sharded_check_needs_a_lookahead() {
+        let mut c = SimConfig::quick_demo(3);
+        c.shards = 2;
+        c.radio.per_hop_overhead = SimDuration::ZERO;
+        assert_eq!(
+            c.check(),
+            Err(ConfigError::Lookahead(LookaheadError::ZeroRadioOverhead))
+        );
+        for max_speed in [0.0, -5.0, f64::NAN] {
+            let mut c = SimConfig::quick_demo(3);
+            c.shards = 4;
+            c.mobility.max_speed = max_speed;
+            assert!(
+                matches!(
+                    c.check(),
+                    Err(ConfigError::Lookahead(LookaheadError::BadKinematics { .. }))
+                ),
+                "max_speed {max_speed}: {:?}",
+                c.check()
+            );
+        }
+    }
+
+    /// One shard needs no cross-shard guarantee; the run itself is covered
+    /// by `tests/shard_determinism.rs`.
+    #[test]
+    fn one_shard_needs_no_lookahead() {
+        let mut c = SimConfig::quick_demo(3);
+        c.radio.per_hop_overhead = SimDuration::ZERO;
+        assert_eq!(c.check(), Ok(()));
     }
 
     #[test]

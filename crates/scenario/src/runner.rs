@@ -6,7 +6,7 @@
 //! protocol object (and that RLSMP, having no infrastructure, gets no RSUs and an
 //! empty wired backbone).
 
-use crate::config::{Protocol, SimConfig};
+use crate::config::{Protocol, SimConfig, WIRED_LINK_DELAY};
 use crate::metrics::{RunReport, TimelinePoint};
 use hlsrg::HlsrgProtocol;
 use rand::rngs::SmallRng;
@@ -107,18 +107,19 @@ enum Ev<P, T> {
     Telemetry,
 }
 
-/// The run's executor, picked by shard count: one shard keeps the classic
-/// serial [`ShardedQueue`] (the untouched default path); real sharded runs go
-/// through the [`EpochExecutor`], inline at one thread or on a worker pool at
-/// more. Both produce the identical `(time, global seq)` pop stream, so the
-/// choice — like the shard count and the thread count — is invisible in every
-/// output byte (pinned by `tests/shard_determinism.rs`).
-enum Q<E: Send + 'static> {
+/// The run's executor. Every run with a positive lookahead goes through the
+/// [`EpochExecutor`]: inline at one thread, which covers every one-shard run,
+/// or on a worker pool at more. Only a one-shard run with a zero lookahead,
+/// which the lookahead-paced executor rejects, uses the serial
+/// [`ShardedQueue`]. Both produce the identical `(time, global seq)` pop
+/// stream, so the choice — like the shard count and the thread count — is
+/// invisible in every output byte (pinned by `tests/shard_determinism.rs`).
+enum Q<E> {
     Serial(ShardedQueue<E>),
     Epoch(Box<EpochExecutor<E>>),
 }
 
-impl<E: Send + 'static> Q<E> {
+impl<E> Q<E> {
     fn schedule_at(&mut self, shard: usize, at: SimTime, event: E) {
         match self {
             Q::Serial(q) => q.schedule_at(shard, at, event),
@@ -365,7 +366,7 @@ fn run_simulation_full(
                 registry.add_rsu(site.id, site.pos);
             }
             if cfg.wired_backbone {
-                WiredNetwork::from_partition(&partition, SimDuration::from_millis(2))
+                WiredNetwork::from_partition(&partition, WIRED_LINK_DELAY)
             } else {
                 WiredNetwork::empty()
             }
@@ -496,13 +497,15 @@ fn drive<L: LocationService>(
     // cross-shard guarantee and falls back to zero.
     let shards = cfg.shards;
     let wired_delay = (!core.wired.is_empty()).then_some(core.wired.link_delay);
-    let lookahead = match conservative_lookahead(&cfg.radio, wired_delay, cfg.mobility.max_speed) {
-        Ok(la) => la,
-        Err(e) => {
-            assert!(shards == 1, "cannot shard this run: {e}");
-            SimDuration::ZERO
-        }
-    };
+    let lookahead = conservative_lookahead(&cfg.radio, wired_delay, cfg.mobility.max_speed)
+        .or_else(|e| {
+            if shards == 1 {
+                Ok(SimDuration::ZERO)
+            } else {
+                Err(e)
+            }
+        })
+        .expect("SimConfig::check rejects a sharded run with no conservative lookahead");
     // Pre-size the queue from the config: every mobility tick is scheduled up
     // front, and in-flight radio traffic scales with the fleet. 32 pending
     // deliveries per vehicle does *not* cover the peak: the t = 0 join burst
@@ -985,7 +988,7 @@ fn telemetry_tick<L: LocationService>(
 /// region would violate the lookahead contract whenever the emitter's shard
 /// went stale (a timer armed before its vehicle migrated), and the merge is
 /// routing-invariant anyway (see the `shard` module's proptests).
-fn apply<P: Send + 'static, T: Send + 'static>(
+fn apply<P, T>(
     queue: &mut Q<Ev<P, T>>,
     fx: Vec<Effect<P, T>>,
     registry: &NodeRegistry,
