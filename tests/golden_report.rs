@@ -12,6 +12,7 @@
 //! HLSRG_REGEN_GOLDEN=1 cargo test --test golden_report
 //! ```
 
+use hlsrg_suite::des::SimDuration;
 use hlsrg_suite::scenario::{run_simulation, Protocol, RunReport, SimConfig};
 
 /// The scenario every golden file pins: small enough to run in well under a
@@ -74,10 +75,16 @@ fn check_golden_sharded(protocol: Protocol, file: &str, shards: usize) {
         shards,
         ..golden_config()
     };
-    let report = run_simulation(&cfg, protocol);
+    check_golden_config(&cfg, protocol, file);
+}
+
+/// Compares a run of `cfg` against the golden file `file`. Regeneration only
+/// ever writes single-shard runs.
+fn check_golden_config(cfg: &SimConfig, protocol: Protocol, file: &str) {
+    let report = run_simulation(cfg, protocol);
     let actual = render(&report);
     let path = golden_path(file);
-    if shards == 1 && std::env::var_os("HLSRG_REGEN_GOLDEN").is_some() {
+    if cfg.shards == 1 && std::env::var_os("HLSRG_REGEN_GOLDEN").is_some() {
         std::fs::write(&path, &actual).expect("write golden file");
         eprintln!("regenerated {}", path.display());
         return;
@@ -127,4 +134,30 @@ fn sharded_runs_match_the_single_shard_goldens() {
         check_golden_sharded(Protocol::Hlsrg, "hlsrg.txt", shards);
         check_golden_sharded(Protocol::Rlsmp, "rlsmp.txt", shards);
     }
+}
+
+/// The golden scenario with a zero radio per-hop overhead, which leaves the
+/// run no conservative lookahead: only a one-shard run accepts it.
+fn zero_lookahead_config() -> SimConfig {
+    let mut cfg = golden_config();
+    cfg.radio.per_hop_overhead = SimDuration::ZERO;
+    cfg
+}
+
+#[test]
+fn zero_lookahead_hlsrg_report_matches_golden() {
+    check_golden_config(
+        &zero_lookahead_config(),
+        Protocol::Hlsrg,
+        "hlsrg_zero_lookahead.txt",
+    );
+}
+
+#[test]
+fn zero_lookahead_rlsmp_report_matches_golden() {
+    check_golden_config(
+        &zero_lookahead_config(),
+        Protocol::Rlsmp,
+        "rlsmp_zero_lookahead.txt",
+    );
 }
