@@ -1,92 +1,89 @@
-//! Epoch-parallel executor: worker threads advance per-shard calendar queues,
-//! a single commit thread executes the globally merged stream.
+//! The epoch executor: per-shard calendar queues merged into one globally
+//! ordered pop stream, advanced a whole epoch at a time.
 //!
-//! [`EpochExecutor`] is the multi-core counterpart of [`ShardedQueue`]. Both
-//! expose the same pop stream — the exact `(time, global seq)` order one
-//! unsharded [`EventQueue`] would produce — but where the sharded queue
-//! interleaves one pop at a time, the executor advances whole *epochs*:
+//! [`EpochExecutor`] partitions the pending-event set across `N` inner
+//! [`EventQueue`]s (one per shard — in the VANET stack, one per group of L3
+//! regions) and pops the exact `(time, global seq)` order one unsharded
+//! [`EventQueue`] would produce, for *any* routing of events to shards. Every
+//! schedule call draws a *global* sequence number; within a shard the inner
+//! queue's local sequence agrees with it, and across shards the merge takes
+//! the minimum `(time, global seq)` key, which is unique. Sharding is
+//! therefore an implementation layout, never an observable — the property
+//! the differential determinism suite pins. Everything runs on the calling
+//! thread, in three steps:
 //!
-//! 1. **Barrier.** When the committed region runs dry, the commit side finds
-//!    the global minimum pending key across every shard's cached head and
-//!    mailbox, fixes an inclusive epoch frontier `F = min + K·lookahead − 1µs`,
-//!    and hands each worker its shards' accumulated mailbox batches.
-//! 2. **Epoch.** Each worker inserts its mailbox batch and bulk-drains its
-//!    shards up to `F` ([`EventQueue::drain_into`]), returning per-shard
-//!    batches already sorted by `(time, seq)` plus the next head key. Workers
-//!    only do queue mechanics — no handler runs off the commit thread.
-//! 3. **Commit.** The commit side merges the per-shard batch heads (plus an
-//!    *overlay* heap, below) and executes events one by one in global order.
-//!    Events scheduled by handlers during the commit phase go to the
-//!    per-shard mailboxes when they land beyond `F`, or into the overlay heap
-//!    when they land inside the committed region — including any that violate
-//!    the lookahead contract, which are counted exactly as the serial path
-//!    counts them but still execute in their correct global slot.
+//! 1. **Barrier.** When the committed region runs dry, the executor finds
+//!    the global minimum pending key across every shard's queue head and
+//!    mailbox, and fixes an inclusive epoch frontier
+//!    `F = min + K·max(lookahead, 1µs) − 1µs`.
+//! 2. **Epoch.** Each shard inserts its mailbox batch and bulk-drains its
+//!    queue up to `F` ([`EventQueue::drain_into`]), leaving a batch sorted by
+//!    `(time, seq)`. Bulk drains replace the per-pop bucket re-scans that
+//!    dominate same-instant bursts.
+//! 3. **Commit.** Pops merge the per-shard batch heads (plus an *overlay*
+//!    heap, below) in global order. Events scheduled by handlers during the
+//!    commit phase go to the per-shard mailboxes when they land beyond `F`,
+//!    or into the overlay heap when they land inside the committed region,
+//!    so they still execute in their exact global slot.
 //!
-//! # Why the merge is byte-identical, at any thread count
+//! Barrier placement, epoch spans and the adaptive span multiplier `K` are
+//! pure functions of the event set, so the queue telemetry (resizes, bucket
+//! scans) is as deterministic as the pop stream.
 //!
-//! * Workers never execute handlers, so the *values* produced by a run are
-//!   decided solely on the commit thread, in the merged order.
-//! * The merged order is the total `(time, global seq)` order: batches are
-//!   sorted by it, the overlay heap orders by it, and within a shard the
-//!   inner queue's local-sequence order agrees with it (mailbox batches are
-//!   flushed whole, in global-sequence order, every barrier — so local
-//!   sequence numbers are assigned in global-sequence order).
-//! * Barrier placement, epoch spans, and the adaptive span multiplier are
-//!   pure functions of the event set, never of thread scheduling. The thread
-//!   count only decides which OS thread runs which shard's queue mechanics.
+//! # Conservative synchronization and lookahead
 //!
-//! Epochs may span *many* lookahead windows (`K` adapts to drain volume):
-//! that is safe precisely because handlers stay on the commit thread — a
-//! commit-phase schedule landing inside the already-drained region is routed
-//! to the overlay heap instead of the worker queue, so nothing is ever
-//! executed early or out of order. The lookahead contract is still audited
-//! event-by-event through the shared [`SyncLedger`], and a violation-free run
-//! certifies that a handler-parallel executor would have been safe too.
+//! A handler-parallel conservative run (Chandy–Misra–Bryant style) would be
+//! safe exactly when no shard receives a cross-shard event earlier than
+//! `now + lookahead`. Handlers here run one at a time in merged order, but
+//! the executor audits that contract through its ledger:
 //!
-//! With `threads == 1` the executor runs the identical algorithm inline
-//! (no channels, no threads): same barriers, same batches, same counters.
-//! This inline mode is also what makes epoch batching pay off on one core —
-//! bulk drains replace the per-pop bucket re-scans that dominate dense
-//! sharded runs.
+//! * Construction **fails fast** on a zero lookahead when `shards > 1`
+//!   ([`ShardConfigError::ZeroLookahead`]); a real conservative executor
+//!   would deadlock on it. One shard has no cross-shard traffic, so a zero
+//!   lookahead is accepted there and epochs fall back to 1 µs spans.
+//! * While processing an event, the driver declares the shard it executes on
+//!   ([`EpochExecutor::set_origin`]); every schedule targeting a *different*
+//!   shard closer than `lookahead` is counted in
+//!   [`EpochExecutor::violations`]. Zero violations at the end of a run is a
+//!   machine-checked proof that the event flow honours the lookahead.
+//! * [`EpochExecutor::epochs`] counts the `lookahead`-wide windows the pop
+//!   clock crosses — a pure function of the pop stream, so it is part of the
+//!   deterministic output surface (zero when the lookahead is zero).
 //!
 //! # Keys move, payloads stay put
 //!
 //! A payload is written exactly once, at schedule time, into a slab (a
-//! `Vec<Option<E>>` with a LIFO free list), and moved out exactly once, by
-//! the commit thread when its event executes. Everything in between — the
-//! mailboxes, the per-shard calendar queues, the drained batches with their
-//! sort and reversal, the overlay heap and the worker-channel messages —
-//! carries only a key: `(time, global seq, slot)`, 24–32 bytes, whatever
-//! the payload's size. Workers therefore never touch a payload, and a
-//! same-instant join burst of hundreds of thousands of deliveries costs one
-//! payload write each instead of one per queue stage. For the same reason
-//! the payload type need not be `Send`: the slab never leaves the commit
-//! thread.
-//!
-//! Every queue decision — calendar resizes, width recalibrations, bucket
-//! scans, epoch frontiers — is a function of keys alone, so the pop stream
-//! and the queue telemetry are exactly those of an executor that carries
-//! whole events.
+//! `Vec<Option<E>>` with a LIFO free list), and moved out exactly once, when
+//! it pops. Everything in between — the mailboxes, the per-shard calendar
+//! queues, the drained batches with their sort and reversal, and the overlay
+//! heap — carries only a key: `(time, global seq, slot)`, 24–32 bytes,
+//! whatever the payload's size. A same-instant join burst of hundreds of
+//! thousands of deliveries therefore costs one payload write each instead of
+//! one per queue stage. Every queue decision is a function of keys alone, so
+//! the pop stream and the queue telemetry are exactly those of an executor
+//! that carries whole events.
 
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
-use std::thread::JoinHandle;
 
 use crate::event::{EventQueue, QueueTelemetry};
-use crate::shard::{checked_shards, ShardConfigError, ShardStats, SyncLedger, EMPTY_HEAD};
 use crate::time::{SimDuration, SimTime};
 
 /// Epoch spans start at one lookahead window and adapt by powers of two:
 /// below this many drained events per epoch the span doubles (barrier
 /// overhead dominates), above [`SPAN_SHRINK_ABOVE`] it halves (commit-side
 /// batches grow past cache-friendly sizes). Both triggers are pure functions
-/// of the drained totals, so the span sequence is identical for every thread
-/// count.
+/// of the drained totals.
 const SPAN_GROW_BELOW: usize = 64;
 /// See [`SPAN_GROW_BELOW`].
 const SPAN_SHRINK_ABOVE: usize = 4096;
 /// Upper bound on the span multiplier (2^16 lookahead windows per epoch).
 const SPAN_MAX_MULT: u64 = 1 << 16;
+
+/// Cached head sentinel for an empty shard, batch or mailbox. The `u64::MAX`
+/// sequence marks emptiness (a real event can fire at `SimTime::MAX` but
+/// never draws that sequence number), so the sentinel loses every comparison
+/// against real keys.
+const EMPTY_HEAD: (SimTime, u64) = (SimTime::MAX, u64::MAX);
 
 /// A mailboxed event: `(time, global seq, slab slot)`.
 type MailKey = (SimTime, u64, u32);
@@ -94,6 +91,133 @@ type MailKey = (SimTime, u64, u32);
 type QueueKey = (u64, u32);
 /// A drained event: `(time, (global seq, slab slot))`.
 type BatchKey = (SimTime, QueueKey);
+
+/// Why an [`EpochExecutor`] could not be constructed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardConfigError {
+    /// An executor needs at least one shard.
+    NoShards,
+    /// `shards > 1` with a zero lookahead: a conservative executor could
+    /// never advance past its first barrier — refuse up front instead of
+    /// deadlocking.
+    ZeroLookahead {
+        /// The shard count that was requested.
+        shards: usize,
+    },
+}
+
+impl std::fmt::Display for ShardConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ShardConfigError::NoShards => write!(f, "an executor needs at least one shard"),
+            ShardConfigError::ZeroLookahead { shards } => write!(
+                f,
+                "conservative sync across {shards} shards needs a strictly positive \
+                 lookahead; this configuration derives zero (every cross-shard epoch \
+                 would deadlock) — widen the radio per-hop overhead, the wired RSU \
+                 link latency, or the radio-range/max-speed ratio"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ShardConfigError {}
+
+/// Per-shard event counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Events routed to this shard by schedule calls.
+    pub scheduled: u64,
+    /// Events popped out of this shard by the merged stream.
+    pub popped: u64,
+}
+
+/// The bookkeeping half of the conservative-sync contract: the global
+/// sequence counter, the merged clock, the total/peak pending counts,
+/// per-shard stats, epoch-window accounting, and the lookahead-violation
+/// audit. Every schedule goes through [`SyncLedger::on_schedule`] and every
+/// pop through [`SyncLedger::on_pop`], so these counters are functions of
+/// the schedule calls and the pop stream alone.
+#[derive(Debug)]
+struct SyncLedger {
+    stats: Vec<ShardStats>,
+    next_seq: u64,
+    len: usize,
+    now: SimTime,
+    peak_depth: usize,
+    lookahead: SimDuration,
+    /// Exclusive end of the current conservative epoch window.
+    epoch_end: SimTime,
+    epochs: u64,
+    /// The shard the driver is currently executing on (None between events /
+    /// for control-plane work exempt from the cross-shard contract).
+    origin: Option<usize>,
+    violations: u64,
+}
+
+impl SyncLedger {
+    fn new(shards: usize, lookahead: SimDuration) -> Self {
+        SyncLedger {
+            stats: vec![ShardStats::default(); shards],
+            next_seq: 0,
+            len: 0,
+            now: SimTime::ZERO,
+            peak_depth: 0,
+            lookahead,
+            epoch_end: SimTime::ZERO.checked_add(lookahead).unwrap_or(SimTime::MAX),
+            epochs: 0,
+            origin: None,
+            violations: 0,
+        }
+    }
+
+    /// Books one schedule targeting `shard` at `at`: runs the cross-shard
+    /// lookahead audit against the declared origin, bumps the pending/peak
+    /// counts, and returns the drawn global sequence number.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the merged clock — scheduling into the
+    /// past is always a protocol bug.
+    fn on_schedule(&mut self, shard: usize, at: SimTime) -> u64 {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: now={}, at={}",
+            self.now,
+            at
+        );
+        if self.origin.is_some_and(|o| o != shard)
+            && !self.lookahead.is_zero()
+            && self
+                .now
+                .checked_add(self.lookahead)
+                .is_some_and(|floor| at < floor)
+        {
+            self.violations += 1;
+        }
+        let gseq = self.next_seq;
+        self.next_seq += 1;
+        self.len += 1;
+        if self.len > self.peak_depth {
+            self.peak_depth = self.len;
+        }
+        self.stats[shard].scheduled += 1;
+        gseq
+    }
+
+    /// Books one committed pop from `shard` at `t`: advances the merged clock
+    /// and the epoch-window count.
+    fn on_pop(&mut self, shard: usize, t: SimTime) {
+        self.len -= 1;
+        self.stats[shard].popped += 1;
+        debug_assert!(t >= self.now, "merged clock went back in time");
+        self.now = t;
+        if !self.lookahead.is_zero() && t >= self.epoch_end {
+            self.epochs += 1;
+            self.epoch_end = t.checked_add(self.lookahead).unwrap_or(SimTime::MAX);
+        }
+    }
+}
 
 /// Payload storage: each event is written once by `insert` and moved out
 /// once by `take`. Vacated slots are reused newest-first, so the slab never
@@ -171,47 +295,6 @@ impl Ord for OverlayEntry {
     }
 }
 
-/// Commit thread → worker messages.
-enum ToWorker {
-    /// Insert the mailbox batches (one per owned shard, parallel to the
-    /// worker's shard list), then drain each owned shard up to `until`
-    /// (inclusive) and reply with [`FromWorker::Epoch`].
-    Epoch {
-        inserts: Vec<Vec<MailKey>>,
-        until: SimTime,
-    },
-    /// Reply with each owned shard's queue telemetry.
-    Telemetry,
-}
-
-/// One drained shard in an epoch reply:
-/// `(shard, drained batch ascending by (time, gseq), next head key)`.
-type DrainedShard = (usize, Vec<BatchKey>, (SimTime, u64));
-
-/// Worker → commit thread replies (tagged; all workers share one channel).
-enum FromWorker {
-    Epoch {
-        shards: Vec<DrainedShard>,
-    },
-    Telemetry {
-        shards: Vec<(usize, QueueTelemetry)>,
-    },
-}
-
-/// Where the per-shard queue mechanics run.
-enum Backend {
-    /// `threads == 1`: same epochs, run in place on the commit thread.
-    Inline { queues: Vec<EventQueue<QueueKey>> },
-    /// `threads > 1`: persistent workers, one channel pair per worker.
-    Threaded {
-        to_workers: Vec<mpsc::Sender<ToWorker>>,
-        from_workers: mpsc::Receiver<FromWorker>,
-        handles: Vec<Option<JoinHandle<()>>>,
-        /// `owned[w]` lists the shards worker `w` owns (`s % threads == w`).
-        owned: Vec<Vec<usize>>,
-    },
-}
-
 /// Head key of a shard queue, [`EMPTY_HEAD`] when empty.
 fn queue_head(q: &mut EventQueue<QueueKey>) -> (SimTime, u64) {
     q.peek_entry().map(|(t, e)| (t, e.0)).unwrap_or(EMPTY_HEAD)
@@ -225,54 +308,14 @@ fn batch_head(batch: &[BatchKey]) -> (SimTime, u64) {
         .unwrap_or(EMPTY_HEAD)
 }
 
-/// The worker loop: pure queue mechanics on the owned shards, driven entirely
-/// by barrier messages. Exits when the commit side hangs up.
-fn worker_loop(
-    owned: Vec<usize>,
-    mut queues: Vec<EventQueue<QueueKey>>,
-    rx: mpsc::Receiver<ToWorker>,
-    tx: mpsc::Sender<FromWorker>,
-) {
-    while let Ok(msg) = rx.recv() {
-        let reply = match msg {
-            ToWorker::Epoch { inserts, until } => {
-                let mut shards = Vec::with_capacity(owned.len());
-                for ((q, &s), batch_in) in queues.iter_mut().zip(&owned).zip(inserts) {
-                    for (at, gseq, slot) in batch_in {
-                        q.schedule_at(at, (gseq, slot));
-                    }
-                    let mut batch = Vec::new();
-                    q.drain_into(until, &mut batch);
-                    shards.push((s, batch, queue_head(q)));
-                }
-                FromWorker::Epoch { shards }
-            }
-            ToWorker::Telemetry => FromWorker::Telemetry {
-                shards: owned
-                    .iter()
-                    .zip(&queues)
-                    .map(|(&s, q)| (s, q.telemetry()))
-                    .collect(),
-            },
-        };
-        if tx.send(reply).is_err() {
-            return;
-        }
-    }
-}
-
-/// A multi-threaded conservative executor over per-shard [`EventQueue`]s,
-/// pop-stream-identical to [`ShardedQueue`] — see the module docs for the
-/// barrier protocol and the byte-identity argument.
-///
-/// Unlike [`ShardedQueue`], construction requires a strictly positive
-/// lookahead even for one shard: the epoch machinery is lookahead-paced.
-/// `E` need not be `Send`, even with worker threads: payloads stay in the
-/// commit thread's slab and workers see only keys.
+/// A conservative executor over per-shard [`EventQueue`]s that pops one
+/// globally ordered stream — see the module docs for the epoch protocol, the
+/// byte-identity argument and the lookahead audit.
 #[derive(Debug)]
 pub struct EpochExecutor<E> {
     ledger: SyncLedger,
-    backend: Backend,
+    /// One calendar queue per shard, holding keys into the slab.
+    queues: Vec<EventQueue<QueueKey>>,
     /// Every pending payload; the structures below hold slots into it.
     slab: Slab<E>,
     /// Per-shard batches of scheduled events beyond the committed frontier,
@@ -285,9 +328,9 @@ pub struct EpochExecutor<E> {
     batches: Vec<Vec<BatchKey>>,
     /// Key of `batches[s].last()`, [`EMPTY_HEAD`] when drained.
     batch_heads: Vec<(SimTime, u64)>,
-    /// Head key of each shard's worker-side queue as of the last barrier
-    /// (exact between barriers: workers only act at barriers).
-    worker_heads: Vec<(SimTime, u64)>,
+    /// Head key of each shard's calendar queue as of the last barrier (exact
+    /// between barriers: only barriers insert into or drain the queues).
+    queue_heads: Vec<(SimTime, u64)>,
     /// Commit-phase schedules that landed inside the committed region.
     overlay: BinaryHeap<OverlayEntry>,
     /// Inclusive end of the committed region; `None` before the first
@@ -297,51 +340,30 @@ pub struct EpochExecutor<E> {
     span_mult: u64,
 }
 
-impl std::fmt::Debug for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Inline { queues } => {
-                write!(f, "Inline({} shards)", queues.len())
-            }
-            Backend::Threaded { owned, .. } => {
-                write!(f, "Threaded({} workers)", owned.len())
-            }
-        }
-    }
-}
-
 impl<E> EpochExecutor<E> {
-    /// Creates an executor with default-sized per-shard queues. `threads` is
-    /// clamped to `1..=shards`; with one thread the epochs run inline on the
-    /// calling thread.
-    pub fn new(
-        shards: usize,
-        threads: usize,
-        lookahead: SimDuration,
-    ) -> Result<Self, ShardConfigError> {
-        checked_shards(shards, lookahead)?;
-        Self::build(
-            threads,
-            lookahead,
-            0,
-            (0..shards).map(|_| EventQueue::new()),
-        )
+    /// Creates an executor with default-sized per-shard queues. `lookahead`
+    /// is the conservative-sync window; it must be strictly positive whenever
+    /// `shards > 1`.
+    pub fn new(shards: usize, lookahead: SimDuration) -> Result<Self, ShardConfigError> {
+        Self::build(lookahead, 0, (0..shards).map(|_| EventQueue::new()))
     }
 
     /// Creates an executor whose shard queues are pre-sized: shard `s` for
     /// `caps[s]` pending events spread over `horizon` of simulated time. The
-    /// payload slab reserves room for the sum of `caps`.
-    /// Per-shard capacities matter because shard 0 typically carries the
-    /// control plane (ticks, samplers) on top of its share of deliveries.
+    /// payload slab reserves room for the sum of `caps`. Per-shard capacities
+    /// matter because shard 0 typically carries the control plane (ticks,
+    /// samplers) on top of its share of deliveries.
+    ///
+    /// `_threads` is unused: every executor runs on the calling thread. The
+    /// parameter keeps the signature the traced benchmark driver
+    /// (`perfbench/src/driver.rs`) compiles against.
     pub fn with_shard_capacities_and_horizon(
-        threads: usize,
+        _threads: usize,
         lookahead: SimDuration,
         caps: &[usize],
         horizon: SimDuration,
     ) -> Result<Self, ShardConfigError> {
-        checked_shards(caps.len(), lookahead)?;
         Self::build(
-            threads,
             lookahead,
             caps.iter().sum(),
             caps.iter()
@@ -350,61 +372,27 @@ impl<E> EpochExecutor<E> {
     }
 
     fn build(
-        threads: usize,
         lookahead: SimDuration,
         slab_cap: usize,
         queues: impl Iterator<Item = EventQueue<QueueKey>>,
     ) -> Result<Self, ShardConfigError> {
         let queues: Vec<_> = queues.collect();
         let n = queues.len();
-        if lookahead.is_zero() {
+        if n == 0 {
+            return Err(ShardConfigError::NoShards);
+        }
+        if n > 1 && lookahead.is_zero() {
             return Err(ShardConfigError::ZeroLookahead { shards: n });
         }
-        let threads = threads.clamp(1, n);
-        let backend = if threads == 1 {
-            Backend::Inline { queues }
-        } else {
-            let mut owned: Vec<Vec<usize>> = vec![Vec::new(); threads];
-            for s in 0..n {
-                owned[s % threads].push(s);
-            }
-            let (reply_tx, from_workers) = mpsc::channel();
-            let mut to_workers = Vec::with_capacity(threads);
-            let mut handles = Vec::with_capacity(threads);
-            let mut slots: Vec<Option<EventQueue<QueueKey>>> =
-                queues.into_iter().map(Some).collect();
-            for (w, shard_list) in owned.iter().enumerate() {
-                let qs: Vec<_> = shard_list
-                    .iter()
-                    .map(|&s| slots[s].take().expect("shard owned twice"))
-                    .collect();
-                let shard_list = shard_list.clone();
-                let (tx, rx) = mpsc::channel();
-                let reply = reply_tx.clone();
-                handles.push(Some(
-                    std::thread::Builder::new()
-                        .name(format!("epoch-worker-{w}"))
-                        .spawn(move || worker_loop(shard_list, qs, rx, reply))
-                        .expect("spawn epoch worker"),
-                ));
-                to_workers.push(tx);
-            }
-            Backend::Threaded {
-                to_workers,
-                from_workers,
-                handles,
-                owned,
-            }
-        };
         Ok(EpochExecutor {
             ledger: SyncLedger::new(n, lookahead),
-            backend,
+            queues,
             slab: Slab::with_capacity(slab_cap),
             mailboxes: (0..n).map(|_| Vec::new()).collect(),
             mailbox_mins: vec![EMPTY_HEAD; n],
             batches: (0..n).map(|_| Vec::new()).collect(),
             batch_heads: vec![EMPTY_HEAD; n],
-            worker_heads: vec![EMPTY_HEAD; n],
+            queue_heads: vec![EMPTY_HEAD; n],
             overlay: BinaryHeap::new(),
             frontier: None,
             span_mult: 1,
@@ -414,16 +402,7 @@ impl<E> EpochExecutor<E> {
     /// Number of shards.
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.mailboxes.len()
-    }
-
-    /// Worker threads driving the shard queues (1 = inline).
-    #[inline]
-    pub fn threads(&self) -> usize {
-        match &self.backend {
-            Backend::Inline { .. } => 1,
-            Backend::Threaded { owned, .. } => owned.len(),
-        }
+        self.queues.len()
     }
 
     /// The conservative-sync lookahead window.
@@ -457,15 +436,15 @@ impl<E> EpochExecutor<E> {
     }
 
     /// Cross-shard schedules that landed closer than the lookahead. Zero at
-    /// end of run is the conservative-safety proof (see [`ShardedQueue`]).
+    /// end of run is the conservative-safety proof (see the module docs).
     #[inline]
     pub fn violations(&self) -> u64 {
         self.ledger.violations
     }
 
-    /// Conservative epoch windows the pop clock has crossed — the same pure
-    /// function of the pop stream that [`ShardedQueue::epochs`] counts, *not*
-    /// the executor's internal barrier count.
+    /// Conservative epoch windows the pop clock has crossed: how many
+    /// `lookahead`-wide windows it advanced through. A pure function of the
+    /// pop stream and the lookahead, *not* the internal barrier count.
     #[inline]
     pub fn epochs(&self) -> u64 {
         self.ledger.epochs
@@ -477,14 +456,14 @@ impl<E> EpochExecutor<E> {
         &self.ledger.stats
     }
 
-    /// Declares the shard the driver is currently executing on — same
-    /// audit contract as [`ShardedQueue::set_origin`].
+    /// Declares the shard the driver is currently executing on; schedules
+    /// issued while an origin is set are checked against the cross-shard
+    /// lookahead contract. Pass `None` for control-plane work exempt from it.
     #[inline]
     pub fn set_origin(&mut self, origin: Option<usize>) {
         debug_assert!(origin.is_none_or(|o| o < self.num_shards()));
         self.ledger.origin = origin;
     }
-
     /// Schedules `event` on `shard` at absolute time `at`.
     ///
     /// # Panics
@@ -578,11 +557,11 @@ impl<E> EpochExecutor<E> {
         Some((t, shard, self.slab.take(slot)))
     }
 
-    /// Minimum pending key outside the committed region (worker queues and
+    /// Minimum pending key outside the committed region (shard queues and
     /// mailboxes).
     fn pending_min(&self) -> (SimTime, u64) {
         let mut min = EMPTY_HEAD;
-        for &k in self.worker_heads.iter().chain(self.mailbox_mins.iter()) {
+        for &k in self.queue_heads.iter().chain(self.mailbox_mins.iter()) {
             if k < min {
                 min = k;
             }
@@ -607,67 +586,18 @@ impl<E> EpochExecutor<E> {
             (gmin.0.as_micros() as u128 + span_us - 1).min(SimTime::MAX.as_micros() as u128) as u64;
         let until = SimTime::from_micros(until_us);
         debug_assert!(self.frontier.is_none_or(|f| until > f));
-        let Self {
-            backend,
-            mailboxes,
-            mailbox_mins,
-            batches,
-            batch_heads,
-            worker_heads,
-            ..
-        } = self;
         let mut drained = 0usize;
-        match backend {
-            Backend::Inline { queues } => {
-                for (s, q) in queues.iter_mut().enumerate() {
-                    for (at, gseq, slot) in mailboxes[s].drain(..) {
-                        q.schedule_at(at, (gseq, slot));
-                    }
-                    mailbox_mins[s] = EMPTY_HEAD;
-                    let batch = &mut batches[s];
-                    debug_assert!(batch.is_empty());
-                    drained += q.drain_into(until, batch);
-                    batch.reverse();
-                    batch_heads[s] = batch_head(batch);
-                    worker_heads[s] = queue_head(q);
-                }
+        for (s, q) in self.queues.iter_mut().enumerate() {
+            for (at, gseq, slot) in self.mailboxes[s].drain(..) {
+                q.schedule_at(at, (gseq, slot));
             }
-            Backend::Threaded {
-                to_workers,
-                from_workers,
-                handles,
-                owned,
-            } => {
-                for (w, tx) in to_workers.iter().enumerate() {
-                    let inserts: Vec<_> = owned[w]
-                        .iter()
-                        .map(|&s| {
-                            mailbox_mins[s] = EMPTY_HEAD;
-                            std::mem::take(&mut mailboxes[s])
-                        })
-                        .collect();
-                    if tx.send(ToWorker::Epoch { inserts, until }).is_err() {
-                        propagate_worker_panic(handles);
-                    }
-                }
-                for _ in 0..to_workers.len() {
-                    match from_workers.recv() {
-                        Ok(FromWorker::Epoch { shards }) => {
-                            for (s, mut batch, head) in shards {
-                                drained += batch.len();
-                                batch.reverse();
-                                batch_heads[s] = batch_head(&batch);
-                                batches[s] = batch;
-                                worker_heads[s] = head;
-                            }
-                        }
-                        Ok(FromWorker::Telemetry { .. }) => {
-                            unreachable!("telemetry reply outside a telemetry request")
-                        }
-                        Err(_) => propagate_worker_panic(handles),
-                    }
-                }
-            }
+            self.mailbox_mins[s] = EMPTY_HEAD;
+            let batch = &mut self.batches[s];
+            debug_assert!(batch.is_empty());
+            drained += q.drain_into(until, batch);
+            batch.reverse();
+            self.batch_heads[s] = batch_head(batch);
+            self.queue_heads[s] = queue_head(q);
         }
         self.frontier = Some(until);
         // Deterministic span adaptation — a pure function of drain volume.
@@ -693,7 +623,7 @@ impl<E> EpochExecutor<E> {
     }
 
     /// Pops the globally earliest event, advancing the merged clock. Returns
-    /// `(time, shard, event)` — identical to [`ShardedQueue::pop`].
+    /// `(time, shard, event)` — the shard is the one the event was routed to.
     pub fn pop(&mut self) -> Option<(SimTime, usize, E)> {
         loop {
             if let Some(out) = self.commit_next() {
@@ -706,9 +636,9 @@ impl<E> EpochExecutor<E> {
     }
 
     /// Pops the globally earliest event only if it fires at or before
-    /// `horizon` — same one-touch contract as
-    /// [`ShardedQueue::pop_if_at_or_before`]. No barrier runs when the head
-    /// is beyond the horizon.
+    /// `horizon`; otherwise leaves it in place (same one-touch contract as
+    /// [`EventQueue::pop_if_at_or_before`]). No barrier runs when the head is
+    /// beyond the horizon.
     pub fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, usize, E)> {
         loop {
             if let Some((_, _, key)) = self.committed_head() {
@@ -723,131 +653,60 @@ impl<E> EpochExecutor<E> {
         }
     }
 
-    /// Aggregated self-telemetry across the shard queues — same aggregation
-    /// as [`ShardedQueue::telemetry`]. Takes `&mut self` because the
-    /// threaded backend round-trips a request to its workers.
-    pub fn telemetry(&mut self) -> QueueTelemetry {
+    /// Aggregated self-telemetry across the shard queues: peak depth is the
+    /// merged queue's own peak (what a single queue would report), resizes
+    /// sum, scan worst-cases max, bucket counts sum, and the width is the
+    /// widest shard's (the least calibrated one).
+    pub fn telemetry(&self) -> QueueTelemetry {
         let mut t = QueueTelemetry {
             peak_depth: self.ledger.peak_depth,
             ..QueueTelemetry::default()
         };
-        let mut fold = |qt: QueueTelemetry| {
+        for qt in self.queues.iter().map(EventQueue::telemetry) {
             t.resizes += qt.resizes;
             t.max_pop_scan = t.max_pop_scan.max(qt.max_pop_scan);
             t.buckets += qt.buckets;
             t.width_us = t.width_us.max(qt.width_us);
-        };
-        match &mut self.backend {
-            Backend::Inline { queues } => {
-                for q in queues.iter() {
-                    fold(q.telemetry());
-                }
-            }
-            Backend::Threaded {
-                to_workers,
-                from_workers,
-                handles,
-                ..
-            } => {
-                for tx in to_workers.iter() {
-                    if tx.send(ToWorker::Telemetry).is_err() {
-                        propagate_worker_panic(handles);
-                    }
-                }
-                for _ in 0..to_workers.len() {
-                    match from_workers.recv() {
-                        Ok(FromWorker::Telemetry { shards }) => {
-                            for (_, qt) in shards {
-                                fold(qt);
-                            }
-                        }
-                        Ok(FromWorker::Epoch { .. }) => {
-                            unreachable!("epoch reply outside a barrier")
-                        }
-                        Err(_) => propagate_worker_panic(handles),
-                    }
-                }
-            }
         }
         t
-    }
-}
-
-/// A worker hung up: join everything and re-raise the first worker panic so
-/// the commit thread fails with the real cause instead of a channel error.
-fn propagate_worker_panic(handles: &mut [Option<JoinHandle<()>>]) -> ! {
-    for h in handles.iter_mut() {
-        if let Some(h) = h.take() {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    }
-    panic!("epoch worker disconnected without panicking");
-}
-
-impl<E> Drop for EpochExecutor<E> {
-    fn drop(&mut self) {
-        if let Backend::Threaded {
-            to_workers,
-            handles,
-            ..
-        } = &mut self.backend
-        {
-            // Closing the channels ends the worker loops.
-            to_workers.clear();
-            for h in handles.iter_mut() {
-                if let Some(h) = h.take() {
-                    // Re-raise a worker panic unless we are already
-                    // unwinding (never double-panic in drop).
-                    if h.join().is_err() && !std::thread::panicking() {
-                        panic!("epoch worker panicked during shutdown");
-                    }
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedQueue;
+    use crate::heap::HeapQueue;
     use proptest::prelude::*;
     use std::cell::Cell;
     use std::rc::Rc;
 
     const LA: SimDuration = SimDuration::from_millis(1);
 
-    /// Drives an [`EpochExecutor`] and a [`ShardedQueue`] through the same
-    /// op sequence and asserts the full observable surface stays identical.
+    /// Drives an [`EpochExecutor`] and the unsharded [`HeapQueue`] reference
+    /// (which carries each event's shard alongside its value) through the
+    /// same op sequence and asserts the pop streams and clocks agree.
     struct Differential {
         exec: EpochExecutor<u32>,
-        refq: ShardedQueue<u32>,
+        refq: HeapQueue<(usize, u32)>,
     }
 
     impl Differential {
-        fn new(shards: usize, threads: usize) -> Self {
+        fn new(shards: usize, lookahead: SimDuration) -> Self {
             Differential {
-                exec: EpochExecutor::new(shards, threads, LA).unwrap(),
-                refq: ShardedQueue::new(shards, LA).unwrap(),
+                exec: EpochExecutor::new(shards, lookahead).unwrap(),
+                refq: HeapQueue::new(),
             }
         }
 
         fn schedule(&mut self, shard: usize, at_us: u64, v: u32) {
             let at = SimTime::from_micros(at_us);
             self.exec.schedule_at(shard, at, v);
-            self.refq.schedule_at(shard, at, v);
-        }
-
-        fn set_origin(&mut self, o: Option<usize>) {
-            self.exec.set_origin(o);
-            self.refq.set_origin(o);
+            self.refq.schedule_at(at, (shard, v));
         }
 
         fn pop(&mut self) -> Option<(SimTime, usize, u32)> {
             let a = self.exec.pop();
-            let b = self.refq.pop();
+            let b = self.refq.pop().map(|(t, (s, v))| (t, s, v));
             assert_eq!(a, b, "pop streams diverged");
             self.check();
             a
@@ -856,7 +715,10 @@ mod tests {
         fn pop_bounded(&mut self, horizon_us: u64) -> Option<(SimTime, usize, u32)> {
             let h = SimTime::from_micros(horizon_us);
             let a = self.exec.pop_if_at_or_before(h);
-            let b = self.refq.pop_if_at_or_before(h);
+            let b = self
+                .refq
+                .pop_if_at_or_before(h)
+                .map(|(t, (s, v))| (t, s, v));
             assert_eq!(a, b, "bounded pop streams diverged at horizon {h}");
             self.check();
             a
@@ -866,43 +728,46 @@ mod tests {
             assert_eq!(self.exec.len(), self.refq.len());
             assert_eq!(self.exec.now(), self.refq.now());
             assert_eq!(self.exec.peek_time(), self.refq.peek_time());
-            assert_eq!(self.exec.epochs(), self.refq.epochs());
-            assert_eq!(self.exec.violations(), self.refq.violations());
-            assert_eq!(self.exec.shard_stats(), self.refq.shard_stats());
             assert_eq!(self.exec.scheduled_total(), self.refq.scheduled_total());
         }
     }
 
     #[test]
-    fn zero_lookahead_is_rejected_even_for_one_shard() {
-        let err = EpochExecutor::<u32>::new(1, 1, SimDuration::ZERO).unwrap_err();
-        assert!(matches!(err, ShardConfigError::ZeroLookahead { shards: 1 }));
-        assert!(matches!(
-            EpochExecutor::<u32>::new(0, 1, LA).unwrap_err(),
+    fn zero_lookahead_is_accepted_only_for_one_shard() {
+        // The degenerate config must be an immediate, explicable error when
+        // sharded — a conservative executor would deadlock on it instead.
+        let err = EpochExecutor::<u32>::new(4, SimDuration::ZERO).unwrap_err();
+        assert_eq!(err, ShardConfigError::ZeroLookahead { shards: 4 });
+        assert!(err.to_string().contains("strictly positive"));
+        assert_eq!(
+            EpochExecutor::<u32>::new(0, LA).unwrap_err(),
             ShardConfigError::NoShards
-        ));
+        );
+        assert_eq!(
+            EpochExecutor::<u32>::with_shard_capacities_and_horizon(
+                1,
+                SimDuration::ZERO,
+                &[64, 64],
+                SimDuration::from_secs(1),
+            )
+            .unwrap_err(),
+            ShardConfigError::ZeroLookahead { shards: 2 }
+        );
+        // One shard has no cross-shard sync, so zero lookahead is fine.
+        assert!(EpochExecutor::<u32>::new(1, SimDuration::ZERO).is_ok());
     }
 
     #[test]
-    fn threads_clamp_to_shard_count() {
-        let ex = EpochExecutor::<u32>::new(3, 64, LA).unwrap();
-        assert_eq!(ex.threads(), 3);
-        assert_eq!(ex.num_shards(), 3);
-        let ex = EpochExecutor::<u32>::new(3, 0, LA).unwrap();
-        assert_eq!(ex.threads(), 1);
-    }
-
-    #[test]
-    fn merged_stream_matches_sharded_reference() {
-        for threads in [1, 2, 4] {
-            let mut d = Differential::new(4, threads);
+    fn merged_stream_matches_heap_reference() {
+        for (shards, lookahead) in [(4, LA), (1, LA), (1, SimDuration::ZERO)] {
+            let mut d = Differential::new(shards, lookahead);
             // Deterministic pseudo-random mix of shards and times.
             let mut x = 0x243f_6a88u64;
             for i in 0..3_000u32 {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                let shard = (x >> 33) as usize % 4;
+                let shard = (x >> 33) as usize % shards;
                 let at = d.exec.now().as_micros() + (x >> 17) % 50_000;
                 d.schedule(shard, at, i);
                 if x.is_multiple_of(3) {
@@ -915,10 +780,10 @@ mod tests {
 
     #[test]
     fn bounded_pops_and_empty_epochs_match_reference() {
-        for threads in [1, 2, 3] {
-            let mut d = Differential::new(3, threads);
+        for (shards, lookahead) in [(3, LA), (1, SimDuration::ZERO)] {
+            let mut d = Differential::new(shards, lookahead);
             for i in 0..500u32 {
-                d.schedule(i as usize % 3, (i as u64) * 400, i);
+                d.schedule(i as usize % shards, (i as u64) * 400, i);
             }
             // Horizons that land before, between, and after epoch frontiers.
             for h in [
@@ -941,57 +806,138 @@ mod tests {
     #[test]
     fn commit_phase_schedules_inside_the_frontier_merge_exactly() {
         // Pops interleaved with schedules that land inside the committed
-        // region — including cross-shard ones below the lookahead, which
-        // must be counted as violations yet still execute in order.
-        for threads in [1, 2] {
-            let mut d = Differential::new(2, threads);
+        // region — at zero lookahead on one shard, and cross-shard below the
+        // lookahead on two, where each one must be counted as a violation
+        // yet still execute in order.
+        for (shards, lookahead) in [(2, LA), (1, SimDuration::ZERO)] {
+            let mut d = Differential::new(shards, lookahead);
             for i in 0..200u32 {
-                d.schedule(i as usize % 2, 10_000 + (i as u64 % 7) * 10, i);
+                d.schedule(i as usize % shards, 10_000 + (i as u64 % 7) * 10, i);
             }
             let mut popped = 0;
+            let mut offending = 0;
             while let Some((t, shard, v)) = d.pop() {
                 popped += 1;
                 if v % 5 == 0 && popped < 400 {
-                    d.set_origin(Some(shard));
-                    // Same instant, other shard: a lookahead violation on
-                    // both executors, merged identically.
-                    d.schedule(1 - shard, t.as_micros(), 1_000 + v);
-                    d.set_origin(None);
+                    d.exec.set_origin(Some(shard));
+                    // Same instant, other shard (if there is one).
+                    d.schedule((shard + 1) % shards, t.as_micros(), 1_000 + v);
+                    d.exec.set_origin(None);
+                    offending += 1;
                 }
             }
-            assert!(d.exec.violations() > 0);
-            d.check();
+            let want = if shards > 1 { offending } else { 0 };
+            assert_eq!(d.exec.violations(), want, "{shards} shards");
         }
     }
 
     #[test]
+    fn merges_across_shards_in_global_time_order() {
+        let mut q = EpochExecutor::new(3, LA).unwrap();
+        q.schedule_at(2, SimTime::from_secs(3), "c");
+        q.schedule_at(0, SimTime::from_secs(1), "a");
+        q.schedule_at(1, SimTime::from_secs(2), "b");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (SimTime::from_secs(1), 0, "a"),
+                (SimTime::from_secs(2), 1, "b"),
+                (SimTime::from_secs(3), 2, "c"),
+            ]
+        );
+        assert_eq!(q.now(), SimTime::from_secs(3));
+    }
+
+    #[test]
     fn same_instant_ties_break_by_global_schedule_order() {
-        let mut ex = EpochExecutor::new(2, 2, LA).unwrap();
-        let t = SimTime::from_secs(1);
-        for i in 0..100u32 {
-            ex.schedule_at((i % 2) as usize, t, i);
+        // Events at one instant interleaved across shards must pop in the
+        // order they were scheduled — the global sequence, not shard index.
+        for (shards, lookahead) in [(2, LA), (1, SimDuration::ZERO)] {
+            let mut ex = EpochExecutor::new(shards, lookahead).unwrap();
+            let t = SimTime::from_secs(1);
+            for i in 0..100u32 {
+                ex.schedule_at(i as usize % shards, t, i);
+            }
+            let order: Vec<_> = std::iter::from_fn(|| ex.pop()).map(|(_, _, e)| e).collect();
+            assert_eq!(order, (0..100).collect::<Vec<_>>());
         }
-        let order: Vec<_> = std::iter::from_fn(|| ex.pop()).map(|(_, _, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn stats_and_peek_track_the_merge() {
+        let mut q = EpochExecutor::new(2, LA).unwrap();
+        q.schedule_at(0, SimTime::from_secs(1), ());
+        q.schedule_at(1, SimTime::from_secs(2), ());
+        q.schedule_at(1, SimTime::from_secs(3), ());
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.scheduled_total(), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
+        assert_eq!(q.pop_if_at_or_before(SimTime::from_millis(500)), None);
+        assert_eq!(
+            q.pop_if_at_or_before(SimTime::from_secs(1)),
+            Some((SimTime::from_secs(1), 0, ()))
+        );
+        while q.pop().is_some() {}
+        let stats = |scheduled, popped| ShardStats { scheduled, popped };
+        assert_eq!(q.shard_stats(), [stats(1, 1), stats(2, 2)]);
+        assert_eq!(q.telemetry().peak_depth, 3);
+    }
+
+    #[test]
+    fn lookahead_violations_are_counted_per_offending_schedule() {
+        let mut q = EpochExecutor::new(2, LA).unwrap();
+        q.schedule_at(0, SimTime::from_secs(1), ());
+        q.pop();
+        q.set_origin(Some(0));
+        // Same shard: never a violation, however close.
+        q.schedule_after(0, SimDuration::ZERO, ());
+        assert_eq!(q.violations(), 0);
+        // Cross-shard below the lookahead: violation.
+        q.schedule_after(1, SimDuration::from_micros(999), ());
+        assert_eq!(q.violations(), 1);
+        // Cross-shard exactly at the lookahead: allowed.
+        q.schedule_after(1, LA, ());
+        assert_eq!(q.violations(), 1);
+        // No origin set (control plane): exempt.
+        q.set_origin(None);
+        q.schedule_after(1, SimDuration::ZERO, ());
+        assert_eq!(q.violations(), 1);
+    }
+
+    #[test]
+    fn epochs_count_lookahead_windows() {
+        let mut q = EpochExecutor::new(2, LA).unwrap();
+        for ms in [0u64, 1, 2, 5] {
+            q.schedule_at(0, SimTime::from_millis(ms), ms);
+        }
+        while q.pop().is_some() {}
+        // Pops at 0/1/2/5 ms with a 1 ms window: barriers at 1, 2 and 5 ms.
+        assert_eq!(q.epochs(), 3);
+        // A zero lookahead has no windows to cross.
+        let mut q = EpochExecutor::new(1, SimDuration::ZERO).unwrap();
+        for ms in [0u64, 1, 2, 5] {
+            q.schedule_at(0, SimTime::from_millis(ms), ms);
+        }
+        while q.pop().is_some() {}
+        assert_eq!((q.epochs(), q.violations()), (0, 0));
     }
 
     #[test]
     fn sparse_far_future_events_cross_many_epochs() {
         // Events thousands of lookahead windows apart force the adaptive
-        // span to grow and far-tier migrations to happen inside workers.
-        for threads in [1, 2] {
-            let mut d = Differential::new(2, threads);
-            for i in 0..40u32 {
-                d.schedule(i as usize % 2, i as u64 * 3_000_000, i);
-            }
-            while d.pop().is_some() {}
-            assert!(d.exec.epochs() > 30, "epoch windows were counted");
+        // span to grow and far-tier migrations inside the shard queues.
+        let mut d = Differential::new(2, LA);
+        for i in 0..40u32 {
+            d.schedule(i as usize % 2, i as u64 * 3_000_000, i);
         }
+        while d.pop().is_some() {}
+        assert!(d.exec.epochs() > 30, "epoch windows were counted");
     }
 
     #[test]
-    fn telemetry_aggregates_like_the_sharded_queue() {
-        let mut ex = EpochExecutor::new(4, 2, LA).unwrap();
+    fn telemetry_aggregates_across_shards() {
+        let mut ex = EpochExecutor::new(4, LA).unwrap();
         for i in 0..1_000u32 {
             ex.schedule_at(i as usize % 4, SimTime::from_micros(i as u64 * 13), i);
         }
@@ -1002,22 +948,7 @@ mod tests {
         assert!(t.max_pop_scan >= 1);
     }
 
-    #[test]
-    fn drop_joins_workers_cleanly_with_events_still_pending() {
-        let mut ex = EpochExecutor::new(4, 4, LA).unwrap();
-        for i in 0..500u32 {
-            ex.schedule_at(i as usize % 4, SimTime::from_micros(i as u64 * 100), i);
-        }
-        // Run part of the way so the worker queues actually hold events.
-        for _ in 0..100 {
-            ex.pop();
-        }
-        drop(ex); // must join, not hang or leak panics
-    }
-
-    /// A payload that counts its own drops. Its `Rc` makes it `!Send`, which
-    /// the executor allows even with worker threads: payloads never leave
-    /// the commit thread.
+    /// A payload that counts its own drops.
     struct Counted {
         id: u64,
         drops: Rc<Cell<usize>>,
@@ -1029,75 +960,64 @@ mod tests {
         }
     }
 
-    /// Schedules one counted payload on `ex` and its id on the reference.
-    fn schedule_both(
-        ex: &mut EpochExecutor<Counted>,
-        refq: &mut ShardedQueue<u64>,
-        drops: &Rc<Cell<usize>>,
-        (shard, at, id): (usize, SimTime, u64),
-    ) {
-        let drops = Rc::clone(drops);
-        ex.schedule_at(shard, at, Counted { id, drops });
-        refq.schedule_at(shard, at, id);
-    }
-
-    /// Pops from both queues, asserting the streams agree.
-    fn pop_both(ex: &mut EpochExecutor<Counted>, refq: &mut ShardedQueue<u64>) -> SimTime {
-        let (t, shard, payload) = ex.pop().expect("an event is due");
-        assert_eq!(
-            Some((t, shard, payload.id)),
-            refq.pop(),
-            "pop streams diverged"
-        );
-        t
-    }
-
     #[test]
     fn every_payload_is_popped_or_dropped_exactly_once() {
-        for threads in [1, 2] {
-            let drops = Rc::new(Cell::new(0));
-            let mut ex = EpochExecutor::new(2, threads, LA).unwrap();
-            let mut refq = ShardedQueue::new(2, LA).unwrap();
-            // Ten events inside the first epoch's span, the rest far beyond.
-            for i in 0..10u64 {
-                let ev = (i as usize % 2, SimTime::from_micros(i * 50), i);
-                schedule_both(&mut ex, &mut refq, &drops, ev);
-            }
-            for i in 0..10u64 {
-                let ev = (i as usize % 2, SimTime::from_millis(50 + i), 10 + i);
-                schedule_both(&mut ex, &mut refq, &drops, ev);
-            }
-            let t = pop_both(&mut ex, &mut refq);
-            // A commit-phase schedule inside the frontier, one beyond it.
-            schedule_both(&mut ex, &mut refq, &drops, (1, t, 20));
-            schedule_both(&mut ex, &mut refq, &drops, (0, SimTime::from_secs(1), 21));
-            assert_eq!(drops.get(), 1);
-
-            assert!(!ex.overlay.is_empty(), "overlay holds an event");
-            assert!(
-                ex.mailboxes.iter().any(|m| !m.is_empty()),
-                "mailbox holds one"
-            );
-            assert!(
-                ex.batches.iter().any(|b| !b.is_empty()),
-                "batches hold some"
-            );
-            assert!(
-                ex.worker_heads.iter().any(|&h| h != EMPTY_HEAD),
-                "calendar queues hold some"
-            );
-            let pending = ex.len();
-            assert_eq!(pending, 21);
-            assert_eq!(ex.slab.slots.len() - ex.slab.free.len(), pending);
-            // Half the rest pops in the reference order; the other half is
-            // dropped with the executor.
-            for _ in 0..10 {
-                pop_both(&mut ex, &mut refq);
-            }
-            assert_eq!(drops.get(), 11, "threads {threads}");
-            drop(ex);
-            assert_eq!(drops.get(), 22, "threads {threads}");
+        let drops = Rc::new(Cell::new(0));
+        let mut ex = EpochExecutor::new(2, LA).unwrap();
+        let mut refq = HeapQueue::new();
+        let mut schedule = |ex: &mut EpochExecutor<Counted>, (shard, at, id)| {
+            let drops = Rc::clone(&drops);
+            ex.schedule_at(shard, at, Counted { id, drops });
+            refq.schedule_at(at, (shard, id));
+        };
+        // Ten events inside the first epoch's span, the rest far beyond.
+        for i in 0..10u64 {
+            schedule(&mut ex, (i as usize % 2, SimTime::from_micros(i * 50), i));
         }
+        for i in 0..10u64 {
+            schedule(
+                &mut ex,
+                (i as usize % 2, SimTime::from_millis(50 + i), 10 + i),
+            );
+        }
+        let mut pops = Vec::new();
+        let (t, shard, payload) = ex.pop().expect("an event is due");
+        pops.push((t, shard, payload.id));
+        drop(payload);
+        // A commit-phase schedule inside the frontier, one beyond it.
+        schedule(&mut ex, (1, t, 20));
+        schedule(&mut ex, (0, SimTime::from_secs(1), 21));
+        assert_eq!(drops.get(), 1);
+
+        assert!(!ex.overlay.is_empty(), "overlay holds an event");
+        assert!(
+            ex.mailboxes.iter().any(|m| !m.is_empty()),
+            "mailbox holds one"
+        );
+        assert!(
+            ex.batches.iter().any(|b| !b.is_empty()),
+            "batches hold some"
+        );
+        assert!(
+            ex.queue_heads.iter().any(|&h| h != EMPTY_HEAD),
+            "calendar queues hold some"
+        );
+        let pending = ex.len();
+        assert_eq!(pending, 21);
+        assert_eq!(ex.slab.slots.len() - ex.slab.free.len(), pending);
+        // Half the rest pops; the other half is dropped with the executor.
+        for _ in 0..10 {
+            let (t, shard, payload) = ex.pop().expect("an event is due");
+            pops.push((t, shard, payload.id));
+        }
+        assert_eq!(drops.get(), 11);
+        drop(ex);
+        assert_eq!(drops.get(), 22);
+        let want: Vec<_> = std::iter::from_fn(|| refq.pop())
+            .take(11)
+            .map(|(t, (s, id))| (t, s, id))
+            .collect();
+        assert_eq!(pops, want, "pop streams diverged");
     }
 
     proptest! {
@@ -1107,9 +1027,8 @@ mod tests {
         #[test]
         fn slab_never_outgrows_the_peak_pending_count(
             ops in proptest::collection::vec((0u8..8, 0u64..u64::MAX / 2), 1..300),
-            threads in 1usize..=2,
         ) {
-            let mut ex = EpochExecutor::new(3, threads, LA).unwrap();
+            let mut ex = EpochExecutor::new(3, LA).unwrap();
             let mut peak = 0usize;
             for &(code, v) in &ops {
                 let shard = (v >> 32) as usize % 3;
@@ -1135,9 +1054,9 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_into_the_past_panics_like_the_reference() {
+    fn scheduling_into_the_past_panics() {
         let caught = std::panic::catch_unwind(|| {
-            let mut ex = EpochExecutor::new(2, 2, LA).unwrap();
+            let mut ex = EpochExecutor::new(2, LA).unwrap();
             ex.schedule_at(0, SimTime::from_secs(5), 1u32);
             ex.pop();
             ex.schedule_at(1, SimTime::from_secs(4), 2u32);
@@ -1152,21 +1071,14 @@ mod tests {
 
     #[test]
     fn schedule_periodic_matches_reference() {
-        let mut d = Differential::new(2, 2);
-        d.exec.schedule_periodic(
-            1,
-            SimDuration::from_millis(5),
-            SimTime::from_millis(50),
-            true,
-            || 7,
-        );
-        d.refq.schedule_periodic(
-            1,
-            SimDuration::from_millis(5),
-            SimTime::from_millis(50),
-            true,
-            || 7,
-        );
+        let mut d = Differential::new(2, LA);
+        let (period, end) = (SimDuration::from_millis(5), SimTime::from_millis(50));
+        d.exec.schedule_periodic(1, period, end, true, || 7);
+        let mut t = SimTime::ZERO + period;
+        while t <= end {
+            d.refq.schedule_at(t, (1, 7));
+            t += period;
+        }
         while d.pop().is_some() {}
         assert_eq!(d.exec.scheduled_total(), 10);
     }

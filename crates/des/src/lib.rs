@@ -15,6 +15,10 @@
 //!   bucket array keyed by time), not a binary heap; the retired heap kernel
 //!   survives as [`HeapQueue`], the reference the differential tests drive in
 //!   lockstep to prove the `(time, seq)` pop order is preserved exactly.
+//! * **Region sharding without threads** ([`EpochExecutor`]): one calendar
+//!   queue per shard, merged into the same `(time, insertion order)` stream
+//!   one queue would pop, whatever the shard count; epochs drain each shard in
+//!   bulk, and a ledger audits the conservative-sync lookahead contract.
 //! * **Named RNG streams** ([`rng::stream_rng`]): each subsystem owns an independent
 //!   deterministic stream derived from the master seed.
 //! * **Allocation-free metrics** ([`stats`]): counters, Welford accumulators, and
@@ -42,15 +46,13 @@ pub mod event;
 pub mod exec;
 pub mod heap;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
 pub use event::{run, run_until, Control, EventQueue, QueueTelemetry, RunOutcome};
-pub use exec::EpochExecutor;
+pub use exec::{EpochExecutor, ShardConfigError, ShardStats};
 pub use heap::HeapQueue;
 pub use rng::{derive_seed, splitmix64, stream_rng, StreamId};
-pub use shard::{ShardConfigError, ShardStats, ShardedQueue};
 pub use stats::{Counter, Histogram, Welford};
 pub use time::{SimDuration, SimTime, MICROS_PER_SEC};
 
@@ -224,20 +226,25 @@ mod proptests {
             prop_assert!((ma - mw).abs() <= 1e-6 * (1.0 + mw.abs()));
         }
 
-        /// The sharded merge oracle: a [`ShardedQueue`] with randomly routed
-        /// schedules and an unsharded [`HeapQueue`] driven through identical
-        /// interleavings produce bit-identical `(time, event)` pop streams —
-        /// shard routing is an implementation layout, never an observable.
-        /// This is the boundary-event-merge half of the determinism contract:
-        /// cross-shard schedules land in different inner queues, yet the
-        /// merged stream must preserve exact global `(time, seq)` FIFO order.
+        /// The sharded merge oracle: an [`EpochExecutor`] with randomly
+        /// routed schedules and an unsharded [`HeapQueue`] driven through
+        /// identical interleavings produce bit-identical `(time, shard,
+        /// event)` pop streams — shard routing is an implementation layout,
+        /// never an observable. Cross-shard schedules land in different inner
+        /// queues, and barriers, adaptive epoch spans and mailbox flushes
+        /// happen in between, yet the merged stream must preserve exact
+        /// global `(time, seq)` FIFO order. One shard also runs at a zero
+        /// lookahead.
         #[test]
-        fn sharded_queue_matches_heap_reference(
-            ops in proptest::collection::vec((0u8..10, 0u64..u64::MAX / 2), 1..400),
+        fn epoch_executor_matches_heap_reference(
+            ops in proptest::collection::vec((0u8..9, 0u64..u64::MAX / 2), 1..400),
             nshards in 1usize..=8,
+            la_ix in 0usize..3,
         ) {
-            let mut sharded =
-                ShardedQueue::new(nshards, SimDuration::from_micros(1)).unwrap();
+            // Zero lookahead is only valid on one shard; use 1 µs elsewhere.
+            let lookahead_us = [0u64, 1, 700][la_ix].max((nshards > 1) as u64);
+            let la = SimDuration::from_micros(lookahead_us);
+            let mut exec = EpochExecutor::new(nshards, la).unwrap();
             let mut heap = HeapQueue::new();
             let mut next_payload = 0u64;
             for &(code, v) in &ops {
@@ -249,41 +256,38 @@ mod proptests {
                     0..=3 => {
                         let delay = SimDuration::from_micros(match code {
                             0 | 1 => v % 50_000,
+                            // Same-instant bursts exercise the FIFO tie-break.
                             2 => 0,
                             _ => 10_000_000_000 + v % 1_000_000_000_000,
                         });
-                        sharded.schedule_after(shard, delay, next_payload);
-                        heap.schedule_after(delay, next_payload);
+                        exec.schedule_after(shard, delay, next_payload);
+                        heap.schedule_after(delay, (shard, next_payload));
                         next_payload += 1;
                     }
                     4..=6 => {
                         prop_assert_eq!(
-                            sharded.pop().map(|(t, _, e)| (t, e)),
-                            heap.pop(),
+                            exec.pop(),
+                            heap.pop().map(|(t, (s, e))| (t, s, e)),
                             "pop streams diverged"
                         );
                     }
-                    7 | 8 => {
-                        let horizon = sharded.now() + SimDuration::from_micros(v % 100_000);
+                    _ => {
+                        let horizon = heap.now() + SimDuration::from_micros(v % 100_000);
                         prop_assert_eq!(
-                            sharded.pop_if_at_or_before(horizon).map(|(t, _, e)| (t, e)),
-                            heap.pop_if_at_or_before(horizon),
+                            exec.pop_if_at_or_before(horizon),
+                            heap.pop_if_at_or_before(horizon).map(|(t, (s, e))| (t, s, e)),
                             "bounded pop streams diverged"
                         );
                     }
-                    _ => {
-                        sharded.reset();
-                        heap.reset();
-                        next_payload = 0;
-                    }
                 }
-                prop_assert_eq!(sharded.len(), heap.len());
-                prop_assert_eq!(sharded.now(), heap.now());
-                prop_assert_eq!(sharded.peek_time(), heap.peek_time());
+                prop_assert_eq!(exec.len(), heap.len());
+                prop_assert_eq!(exec.now(), heap.now());
+                prop_assert_eq!(exec.peek_time(), heap.peek_time());
+                prop_assert_eq!(exec.scheduled_total(), heap.scheduled_total());
             }
             // Drain both to the end: every residual event must match too.
             loop {
-                let (a, b) = (sharded.pop().map(|(t, _, e)| (t, e)), heap.pop());
+                let (a, b) = (exec.pop(), heap.pop().map(|(t, (s, e))| (t, s, e)));
                 prop_assert_eq!(a, b);
                 if a.is_none() {
                     break;
@@ -293,17 +297,19 @@ mod proptests {
 
         /// The merged pop stream is invariant under the shard count itself:
         /// any two shard counts over the same schedule/pop interleaving agree
-        /// event for event (each is bit-identical to the heap reference, but
-        /// pinning them against each other directly documents the contract
-        /// the scenario-level differential suite relies on).
+        /// event for event, and so do their epoch-window counts (each stream
+        /// is bit-identical to the heap reference, but pinning them against
+        /// each other directly documents the contract the scenario-level
+        /// differential suite relies on).
         #[test]
         fn shard_count_never_changes_the_pop_stream(
             ops in proptest::collection::vec((0u8..8, 0u64..u64::MAX / 2), 1..200),
         ) {
             let la = SimDuration::from_micros(1);
-            let mut a = ShardedQueue::new(2, la).unwrap();
-            let mut b = ShardedQueue::new(8, la).unwrap();
+            let mut a = EpochExecutor::new(2, la).unwrap();
+            let mut b = EpochExecutor::new(8, la).unwrap();
             let mut next_payload = 0u64;
+            let pop = |q: &mut EpochExecutor<u64>| q.pop().map(|(t, _, e)| (t, e));
             for &(code, v) in &ops {
                 match code {
                     0..=4 => {
@@ -312,79 +318,17 @@ mod proptests {
                         b.schedule_after((v >> 32) as usize % 8, delay, next_payload);
                         next_payload += 1;
                     }
-                    _ => {
-                        prop_assert_eq!(
-                            a.pop().map(|(t, _, e)| (t, e)),
-                            b.pop().map(|(t, _, e)| (t, e))
-                        );
-                    }
+                    _ => prop_assert_eq!(pop(&mut a), pop(&mut b)),
                 }
             }
             loop {
-                let (x, y) = (a.pop().map(|(t, _, e)| (t, e)), b.pop().map(|(t, _, e)| (t, e)));
+                let (x, y) = (pop(&mut a), pop(&mut b));
                 prop_assert_eq!(x, y);
                 if x.is_none() {
                     break;
                 }
             }
             prop_assert_eq!(a.epochs(), b.epochs(), "epoch count must be shard-invariant");
-        }
-
-        /// The epoch executor against the serial sharded reference: random
-        /// schedule/pop/bounded-pop interleavings (no reset — the executor is
-        /// single-run by design) produce identical `(time, shard, event)`
-        /// streams and identical ledgers at 1, 2, and `nshards` worker
-        /// threads. This is the thread-count half of the determinism
-        /// contract: barriers, adaptive epoch spans, and mailbox flushes are
-        /// pure functions of the event set.
-        #[test]
-        fn epoch_executor_matches_sharded_reference(
-            ops in proptest::collection::vec((0u8..9, 0u64..u64::MAX / 2), 1..300),
-            nshards in 1usize..=6,
-            threads in 1usize..=4,
-        ) {
-            let la = SimDuration::from_micros(700);
-            let mut exec = EpochExecutor::new(nshards, threads, la).unwrap();
-            let mut refq = ShardedQueue::new(nshards, la).unwrap();
-            let mut next_payload = 0u64;
-            for &(code, v) in &ops {
-                let shard = (v >> 32) as usize % nshards;
-                match code {
-                    0..=3 => {
-                        let delay = SimDuration::from_micros(match code {
-                            0 | 1 => v % 50_000,
-                            2 => 0,
-                            _ => 10_000_000_000 + v % 1_000_000_000_000,
-                        });
-                        exec.schedule_after(shard, delay, next_payload);
-                        refq.schedule_after(shard, delay, next_payload);
-                        next_payload += 1;
-                    }
-                    4..=6 => {
-                        prop_assert_eq!(exec.pop(), refq.pop(), "pop streams diverged");
-                    }
-                    _ => {
-                        let horizon = refq.now() + SimDuration::from_micros(v % 100_000);
-                        prop_assert_eq!(
-                            exec.pop_if_at_or_before(horizon),
-                            refq.pop_if_at_or_before(horizon),
-                            "bounded pop streams diverged"
-                        );
-                    }
-                }
-                prop_assert_eq!(exec.len(), refq.len());
-                prop_assert_eq!(exec.now(), refq.now());
-                prop_assert_eq!(exec.peek_time(), refq.peek_time());
-                prop_assert_eq!(exec.epochs(), refq.epochs());
-            }
-            loop {
-                let (a, b) = (exec.pop(), refq.pop());
-                prop_assert_eq!(a, b);
-                if a.is_none() {
-                    break;
-                }
-            }
-            prop_assert_eq!(exec.shard_stats(), refq.shard_stats());
         }
 
         /// Stream derivation is injective in practice over small domains.

@@ -168,7 +168,7 @@ mod tests {
 
     proptest! {
         /// Strictly positive for every valid config: the constructor-level
-        /// guarantee the sharded queue's fail-fast check relies on.
+        /// guarantee the epoch executor's fail-fast check relies on.
         #[test]
         fn lookahead_is_strictly_positive_for_valid_configs(
             overhead_us in 1u64..10_000_000,

@@ -83,14 +83,14 @@ pub struct SimConfig {
     /// this period into [`crate::metrics::RunReport::timeline`].
     pub timeline_period: Option<SimDuration>,
     /// Number of L3-region shards the event queue is split across. One shard
-    /// is the classic sequential run; more shards exercise the conservative
-    /// parallel executor, which must produce byte-identical results (the
-    /// determinism contract tested in `tests/shard_determinism.rs`).
+    /// is the classic sequential run; more shards split the epoch executor's
+    /// queues by region and audit the conservative-sync lookahead, with
+    /// byte-identical results (the determinism contract tested in
+    /// `tests/shard_determinism.rs`).
     pub shards: usize,
-    /// Worker threads driving the shard queues (clamped to `1..=shards`).
-    /// With one thread the epoch executor runs inline; more threads move
-    /// per-shard queue mechanics onto a pool while handlers stay on the
-    /// commit thread, so the thread count never changes any output byte.
+    /// Threads the mobility step fans out over (clamped to `1..=shards` and
+    /// to the host's cores). Each steps a disjoint slice of the fleet, so the
+    /// thread count never changes any output byte.
     pub threads: usize,
 }
 

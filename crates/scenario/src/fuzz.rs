@@ -1,13 +1,13 @@
 //! The deterministic scenario fuzzer (`check` feature).
 //!
 //! Drives [`FuzzCase`]s — seeded random scenario knobs from
-//! `StreamId::Custom` streams — through [`run_simulation_checked`] with the
+//! `StreamId::Custom` streams — through [`run_simulation_with`] with the
 //! invariant oracle armed. A failing case (violation **or** panic) is greedily
 //! shrunk to a minimal reproducer; both the original and the shrunk case are
 //! written to a JSONL corpus that `fuzz --replay FILE` re-runs verbatim.
 
 use crate::config::{Protocol, SimConfig};
-use crate::runner::{run_simulation_checked, CheckSetup};
+use crate::runner::{run_simulation_with, CheckSetup, RunSinks, RECONCILIATION_RING};
 use vanet_check::FuzzCase;
 use vanet_des::{SimDuration, SimTime};
 
@@ -55,17 +55,20 @@ pub fn protocol_of_case(case: &FuzzCase) -> Protocol {
 /// campaign always finishes and can shrink what it found.
 pub fn run_case(case: &FuzzCase) -> Option<(String, String)> {
     let cfg = config_of_case(case);
-    let setup = CheckSetup {
-        corrupt_at: case.corrupt.then(|| SimTime::ZERO + cfg.warmup),
-        ..CheckSetup::default()
+    let sinks = RunSinks {
+        trace_ring: Some(RECONCILIATION_RING),
+        check: Some(CheckSetup {
+            corrupt_at: case.corrupt.then(|| SimTime::ZERO + cfg.warmup),
+            ..CheckSetup::default()
+        }),
     };
     let protocol = protocol_of_case(case);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_simulation_checked(&cfg, protocol, &setup)
+        run_simulation_with(&cfg, protocol, &sinks).violation
     }));
     match outcome {
-        Ok((_, None)) => None,
-        Ok((_, Some(v))) => Some((v.invariant.to_string(), v.detail)),
+        Ok(None) => None,
+        Ok(Some(v)) => Some((v.invariant.to_string(), v.detail)),
         Err(payload) => {
             let msg = payload
                 .downcast_ref::<String>()

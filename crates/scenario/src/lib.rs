@@ -4,7 +4,9 @@
 //! one deterministic discrete-event run, measures it, replicates it across seeds in
 //! parallel, and regenerates every figure of the paper's evaluation:
 //!
-//! * [`run_simulation`] — one run, one protocol, one [`RunReport`].
+//! * [`run_simulation`] — one run, one protocol, one [`RunReport`];
+//!   [`run_simulation_with`] also feeds optional [`RunSinks`] (event trace,
+//!   invariant oracle) and returns them in a [`RunOutput`].
 //! * [`replicate()`] / [`replicate_averaged`] — seed fan-out over threads.
 //! * [`figures`] — `fig3_2` … `fig3_5`, the published sweeps.
 //!
@@ -41,6 +43,8 @@ pub use plot::{ascii_chart, svg_chart};
 pub use pool::JobPool;
 pub use replicate::{replicate, replicate_averaged, replicate_batch, replicate_with_threads};
 pub use report::{render_report, ReportInputs};
-pub use runner::{run_simulation, run_simulation_instrumented, run_simulation_traced};
 #[cfg(feature = "check")]
-pub use runner::{run_simulation_checked, CheckSetup, Violation};
+pub use runner::Violation;
+pub use runner::{
+    run_simulation, run_simulation_with, CheckSetup, RunOutput, RunSinks, RECONCILIATION_RING,
+};

@@ -14,7 +14,7 @@ use rand::seq::SliceRandom;
 use rand::RngExt;
 use rlsmp::RlsmpProtocol;
 use std::sync::Arc;
-use vanet_des::{stream_rng, EpochExecutor, ShardedQueue, SimDuration, SimTime, StreamId};
+use vanet_des::{stream_rng, EpochExecutor, SimDuration, SimTime, StreamId};
 use vanet_mobility::{
     LightConfig, MapMatcher, MobilityModel, Ns2Trace, TraceReplay, TrafficLights, VehicleId,
 };
@@ -23,16 +23,14 @@ use vanet_net::{
     WiredNetwork,
 };
 use vanet_roadnet::{generate_grid, Partition, RoadNetwork};
-use vanet_trace::{
-    Phase, TelemetrySample, TelemetrySampler, TelemetrySnapshot, Tracer, DEFAULT_RING_CAPACITY,
-};
+use vanet_trace::{Phase, TelemetrySample, TelemetrySampler, TelemetrySnapshot, Tracer};
 
 #[cfg(feature = "check")]
 pub use vanet_check::Violation;
 
-/// Options for a checked run (`check` feature): the location-table staleness
-/// slack, the deliberate-corruption self-test, and the reconciliation tracer.
-#[cfg(feature = "check")]
+/// Options for a checked run: the location-table staleness slack and the
+/// deliberate-corruption self-test. Arming the oracle needs the `check`
+/// feature.
 #[derive(Debug, Clone)]
 pub struct CheckSetup {
     /// Extra slack (m) on the location-table ground-truth bound
@@ -41,47 +39,64 @@ pub struct CheckSetup {
     /// When set, one protocol table entry is deliberately displaced at this
     /// time — the oracle self-test proving table corruption is detected.
     pub corrupt_at: Option<SimTime>,
-    /// Ring capacity for a tracer riding along purely for trace/counter
-    /// reconciliation (`None` disables that invariant).
-    pub trace_ring: Option<usize>,
 }
 
-#[cfg(feature = "check")]
 impl Default for CheckSetup {
     fn default() -> Self {
         CheckSetup {
             pos_slack: 15.0,
             corrupt_at: None,
-            trace_ring: Some(1 << 18),
         }
     }
 }
 
-/// What the public entry points thread into the impl: the setup plus an
-/// out-slot for the first violation. With the feature off this is `()`, so
-/// every call site can pass `Default::default()` and compile either way.
-#[cfg(feature = "check")]
-type CheckArg<'a> = Option<(&'a CheckSetup, &'a mut Option<Violation>)>;
-#[cfg(not(feature = "check"))]
-type CheckArg<'a> = ();
+/// A trace ring that holds every event of a fuzz-sized run, so a checked run
+/// that carries it also gets the trace/counter reconciliation invariant.
+pub const RECONCILIATION_RING: usize = 1 << 18;
+
+/// The optional outputs a run feeds, beyond its [`RunReport`]. The default
+/// runs with none. The telemetry series is not a sink: it is part of the
+/// config (`SimConfig::telemetry_interval`).
+#[derive(Debug, Clone, Default)]
+pub struct RunSinks {
+    /// Capacity of the structured event-trace ring; `None` runs untraced.
+    /// With the oracle armed, a trace that did not overflow is also
+    /// reconciled against the report counters.
+    pub trace_ring: Option<usize>,
+    /// Arms the invariant oracle; `None` leaves it off. A run panics when
+    /// it is set in a build without the `check` feature.
+    pub check: Option<CheckSetup>,
+}
+
+/// Everything one run produces.
+#[derive(Debug)]
+pub struct RunOutput {
+    /// The run's report.
+    pub report: RunReport,
+    /// The tracer holding the event ring and derived metrics registry, when
+    /// [`RunSinks::trace_ring`] asked for one.
+    pub tracer: Option<Tracer>,
+    /// One [`TelemetrySample`] per sampling tick plus a final end-of-run
+    /// sample at `cfg.duration` that reconciles exactly with the report
+    /// counters; empty unless `cfg.telemetry_interval` is set.
+    pub telemetry: Vec<TelemetrySample>,
+    /// The first violated invariant, if the armed oracle saw one. A violated
+    /// run still completes, so the fuzzer can shrink the configuration.
+    #[cfg(feature = "check")]
+    pub violation: Option<Violation>,
+}
 
 /// Live oracle state carried through `drive`.
 #[cfg(feature = "check")]
 struct CheckState<'a> {
     setup: &'a CheckSetup,
     oracle: vanet_check::Oracle,
-    out: &'a mut Option<Violation>,
     corrupted: bool,
 }
 
-#[cfg(feature = "check")]
-type CheckStateArg<'a> = Option<CheckState<'a>>;
-#[cfg(not(feature = "check"))]
-type CheckStateArg<'a> = ();
-
 /// Ledger hook: counts the `Deliver` effects about to be scheduled.
 #[cfg(feature = "check")]
-fn note_fx<P, T>(check: &mut CheckStateArg<'_>, fx: &[Effect<P, T>]) {
+fn note_fx<P, T>(check: &mut Option<CheckState<'_>>, fx: &[Effect<P, T>]) {
     if let Some(cs) = check.as_mut() {
         for f in fx {
             if let Effect::Deliver(e) = f {
@@ -105,106 +120,6 @@ enum Ev<P, T> {
     Sample,
     /// Take a telemetry sample.
     Telemetry,
-}
-
-/// The run's executor. Every run with a positive lookahead goes through the
-/// [`EpochExecutor`]: inline at one thread, which covers every one-shard run,
-/// or on a worker pool at more. Only a one-shard run with a zero lookahead,
-/// which the lookahead-paced executor rejects, uses the serial
-/// [`ShardedQueue`]. Both produce the identical `(time, global seq)` pop
-/// stream, so the choice — like the shard count and the thread count — is
-/// invisible in every output byte (pinned by `tests/shard_determinism.rs`).
-enum Q<E> {
-    Serial(ShardedQueue<E>),
-    Epoch(Box<EpochExecutor<E>>),
-}
-
-impl<E> Q<E> {
-    fn schedule_at(&mut self, shard: usize, at: SimTime, event: E) {
-        match self {
-            Q::Serial(q) => q.schedule_at(shard, at, event),
-            Q::Epoch(q) => q.schedule_at(shard, at, event),
-        }
-    }
-
-    fn schedule_after(&mut self, shard: usize, delay: SimDuration, event: E) {
-        match self {
-            Q::Serial(q) => q.schedule_after(shard, delay, event),
-            Q::Epoch(q) => q.schedule_after(shard, delay, event),
-        }
-    }
-
-    fn schedule_periodic(
-        &mut self,
-        shard: usize,
-        period: SimDuration,
-        end: SimTime,
-        inclusive: bool,
-        make: impl FnMut() -> E,
-    ) {
-        match self {
-            Q::Serial(q) => q.schedule_periodic(shard, period, end, inclusive, make),
-            Q::Epoch(q) => q.schedule_periodic(shard, period, end, inclusive, make),
-        }
-    }
-
-    fn set_origin(&mut self, origin: Option<usize>) {
-        match self {
-            Q::Serial(q) => q.set_origin(origin),
-            Q::Epoch(q) => q.set_origin(origin),
-        }
-    }
-
-    /// Only the check-mode end-of-run drain pops unbounded.
-    #[cfg(feature = "check")]
-    fn pop(&mut self) -> Option<(SimTime, usize, E)> {
-        match self {
-            Q::Serial(q) => q.pop(),
-            Q::Epoch(q) => q.pop(),
-        }
-    }
-
-    fn pop_if_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, usize, E)> {
-        match self {
-            Q::Serial(q) => q.pop_if_at_or_before(horizon),
-            Q::Epoch(q) => q.pop_if_at_or_before(horizon),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Q::Serial(q) => q.len(),
-            Q::Epoch(q) => q.len(),
-        }
-    }
-
-    fn epochs(&self) -> u64 {
-        match self {
-            Q::Serial(q) => q.epochs(),
-            Q::Epoch(q) => q.epochs(),
-        }
-    }
-
-    fn violations(&self) -> u64 {
-        match self {
-            Q::Serial(q) => q.violations(),
-            Q::Epoch(q) => q.violations(),
-        }
-    }
-
-    fn shard_stats(&self) -> &[vanet_des::ShardStats] {
-        match self {
-            Q::Serial(q) => q.shard_stats(),
-            Q::Epoch(q) => q.shard_stats(),
-        }
-    }
-
-    fn telemetry(&mut self) -> vanet_des::QueueTelemetry {
-        match self {
-            Q::Serial(q) => q.telemetry(),
-            Q::Epoch(q) => q.telemetry(),
-        }
-    }
 }
 
 /// The run's vehicle source: the native kinematic model or an ns-2 trace replay.
@@ -254,63 +169,16 @@ impl MobilitySource {
     }
 }
 
-/// Runs one simulation of `cfg` under the chosen protocol.
-// `CheckArg` is `()` without the `check` feature, hence the unit-arg allow.
-#[allow(clippy::unit_arg)]
+/// Runs one simulation of `cfg` under the chosen protocol, with no sinks.
 pub fn run_simulation(cfg: &SimConfig, protocol: Protocol) -> RunReport {
-    run_simulation_full(cfg, protocol, None, Default::default()).0
+    run_simulation_with(cfg, protocol, &RunSinks::default()).report
 }
 
-/// Runs one simulation with a structured event trace attached, returning the
-/// report plus the tracer holding the event ring and derived metrics registry.
-#[allow(clippy::unit_arg)]
-pub fn run_simulation_traced(cfg: &SimConfig, protocol: Protocol) -> (RunReport, Tracer) {
-    let tracer = Box::new(Tracer::new(DEFAULT_RING_CAPACITY));
-    let (report, tracer, _) = run_simulation_full(cfg, protocol, Some(tracer), Default::default());
-    (
-        report,
-        *tracer.expect("tracer installed before the run survives it"),
-    )
-}
-
-/// Runs one simulation with the telemetry sampler armed (requires
-/// `cfg.telemetry_interval`), optionally with an event trace riding along.
-/// Returns the report, the tracer (when requested), and the telemetry time
-/// series — one [`TelemetrySample`] per sampling tick plus a final end-of-run
-/// sample at `cfg.duration` that reconciles exactly with the report counters.
-#[allow(clippy::unit_arg)]
-pub fn run_simulation_instrumented(
-    cfg: &SimConfig,
-    protocol: Protocol,
-    with_trace: bool,
-) -> (RunReport, Option<Tracer>, Vec<TelemetrySample>) {
-    let tracer = with_trace.then(|| Box::new(Tracer::new(DEFAULT_RING_CAPACITY)));
-    let (report, tracer, samples) = run_simulation_full(cfg, protocol, tracer, Default::default());
-    (report, tracer.map(|t| *t), samples)
-}
-
-/// Runs one simulation with the invariant oracle armed (`check` feature),
-/// returning the report plus the first violated invariant, if any. A violated
-/// run still completes — the violation is surfaced, not panicked, so the
-/// fuzzer can shrink the configuration that caused it.
-#[cfg(feature = "check")]
-pub fn run_simulation_checked(
-    cfg: &SimConfig,
-    protocol: Protocol,
-    setup: &CheckSetup,
-) -> (RunReport, Option<Violation>) {
-    let tracer = setup.trace_ring.map(|cap| Box::new(Tracer::new(cap)));
-    let mut violation = None;
-    let (report, _, _) = run_simulation_full(cfg, protocol, tracer, Some((setup, &mut violation)));
-    (report, violation)
-}
-
-fn run_simulation_full(
-    cfg: &SimConfig,
-    protocol: Protocol,
-    tracer: Option<Box<Tracer>>,
-    check: CheckArg<'_>,
-) -> (RunReport, Option<Box<Tracer>>, Vec<TelemetrySample>) {
+/// Runs one simulation of `cfg` under the chosen protocol, feeding the
+/// requested sinks: an event trace, the invariant oracle, and (when
+/// `cfg.telemetry_interval` is set) the telemetry series. No sink perturbs
+/// the simulation: the report is byte-identical to [`run_simulation`]'s.
+pub fn run_simulation_with(cfg: &SimConfig, protocol: Protocol, sinks: &RunSinks) -> RunOutput {
     let mut map_rng = stream_rng(cfg.seed, StreamId::MapGen);
     let net = match &cfg.map_text {
         Some(text) => vanet_roadnet::from_map_text(text).expect("invalid map_text"),
@@ -379,33 +247,10 @@ fn run_simulation_full(
         wired,
         stream_rng(cfg.seed, StreamId::Radio),
     );
-    if let Some(t) = tracer {
-        core.set_tracer(t);
+    if let Some(cap) = sinks.trace_ring {
+        core.set_tracer(Box::new(Tracer::new(cap)));
     }
-
-    // Static partition geometry is checked once, before any event fires; the
-    // RSU registration cross-check only applies when RSUs exist as nodes.
-    #[cfg(feature = "check")]
-    let check: CheckStateArg<'_> = check.map(|(setup, out)| {
-        let mut oracle = vanet_check::Oracle::new();
-        let rsu_positions: Option<Vec<vanet_geo::Point>> = match protocol {
-            Protocol::Hlsrg => Some(
-                core.registry
-                    .rsu_nodes()
-                    .iter()
-                    .map(|&n| core.registry.pos(n))
-                    .collect(),
-            ),
-            Protocol::Rlsmp => None,
-        };
-        oracle.check_partition(&partition, rsu_positions.as_deref());
-        CheckState {
-            setup,
-            oracle,
-            out,
-            corrupted: false,
-        }
-    });
+    let check = sinks.check.as_ref();
 
     match protocol {
         Protocol::Hlsrg => {
@@ -437,7 +282,8 @@ fn run_simulation_full(
 }
 
 /// Draws the paper's query workload: `fraction` of vehicles each query one random
-/// other vehicle, at a uniform time in the query window.
+/// other vehicle, at a uniform time in the query window. A fleet of fewer than
+/// two vehicles has no other vehicle to query, so it draws no queries.
 fn query_schedule(
     cfg: &SimConfig,
     deadline: SimDuration,
@@ -447,6 +293,9 @@ fn query_schedule(
         return qs.clone();
     }
     let n = cfg.vehicles;
+    if n < 2 {
+        return Vec::new();
+    }
     let k = ((n as f64 * cfg.query_fraction).round() as usize).min(n);
     let mut ids: Vec<u32> = (0..n as u32).collect();
     ids.shuffle(rng);
@@ -485,12 +334,35 @@ fn drive<L: LocationService>(
     mut core: NetworkCore,
     mut proto: L,
     deadline: SimDuration,
-    check: CheckStateArg<'_>,
-) -> (RunReport, Option<Box<Tracer>>, Vec<TelemetrySample>) {
-    #[cfg(feature = "check")]
-    let mut check = check;
+    check: Option<&CheckSetup>,
+) -> RunOutput {
     #[cfg(not(feature = "check"))]
-    let () = check;
+    assert!(
+        check.is_none(),
+        "the invariant oracle is compiled out: build with `--features check`"
+    );
+    // Static partition geometry is checked once, before any event fires; the
+    // RSU registration cross-check only applies when RSUs exist as nodes.
+    #[cfg(feature = "check")]
+    let mut check = check.map(|setup| {
+        let mut oracle = vanet_check::Oracle::new();
+        let rsu_positions: Option<Vec<vanet_geo::Point>> = match protocol {
+            Protocol::Hlsrg => Some(
+                core.registry
+                    .rsu_nodes()
+                    .iter()
+                    .map(|&n| core.registry.pos(n))
+                    .collect(),
+            ),
+            Protocol::Rlsmp => None,
+        };
+        oracle.check_partition(partition, rsu_positions.as_deref());
+        CheckState {
+            setup,
+            oracle,
+            corrupted: false,
+        }
+    });
     // Conservative-sync lookahead, derived for *every* shard count so the
     // barrier-epoch telemetry is shard-invariant. A degenerate config only
     // matters when the run is actually sharded — a single shard needs no
@@ -513,61 +385,29 @@ fn drive<L: LocationService>(
     // vehicles), so the queue grows once there. After the first 5 simulated
     // seconds the same run never holds more than 4,742 pending events.
     let tick_count = (cfg.duration.as_micros() / cfg.mobility.tick.as_micros().max(1)) as usize;
-    // Never run more epoch workers than the host has cores: the threaded
-    // backend's barrier hand-off is pure overhead when workers time-share one
-    // core (measured 2686 ms vs 1554 ms on the single-core large tier).
-    // Determinism is unaffected — the pop stream is thread-count-invariant —
-    // so clamping here changes wall clock only.
+    // `--threads` sizes the mobility step's fan-out, clamped to the shard
+    // count (the traced benchmark driver clamps identically, so its runs step
+    // the same way) and to the host's cores. The step's output is
+    // thread-count-invariant, so the clamp changes wall clock only.
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(usize::MAX);
     let threads = cfg.threads.clamp(1, shards).min(hw).max(1);
     let deliveries_cap = cfg.vehicles * 32;
-    // Control-plane events (ticks, queries, samplers) all live on shard 0, on
-    // top of its delivery share — size it for both so smoke-scale sharded
-    // runs stop re-growing their queues mid-run.
-    let control_cap = tick_count + cfg.vehicles / 8 + 64;
-    let mut queue: Q<Ev<L::Payload, L::Timer>> = if shards == 1 && !lookahead.is_zero() {
-        // One shard still routes through the *inline* epoch executor: its
-        // drain-batched pops cost O(log k) per event under same-instant
-        // bursts, where the serial queue's scan-per-pop path goes quadratic
-        // (the 85 s large-tier hlsrg_shards1 pathology). The pop stream and
-        // sync ledger are identical by construction, so every report,
-        // golden, trace, and telemetry byte is unchanged. The classic serial
-        // queue remains for zero-lookahead configs, which the epoch
-        // machinery (lookahead-paced by design) rejects.
-        Q::Epoch(Box::new(
-            EpochExecutor::with_shard_capacities_and_horizon(
-                1,
-                lookahead,
-                &[tick_count + deliveries_cap + 64],
-                cfg.duration,
-            )
-            .unwrap_or_else(|e| panic!("cannot shard this run: {e}")),
-        ))
-    } else if shards == 1 {
-        Q::Serial(
-            ShardedQueue::with_capacity_and_horizon(
-                1,
-                lookahead,
-                tick_count + deliveries_cap + 64,
-                cfg.duration,
-            )
-            .unwrap_or_else(|e| panic!("cannot shard this run: {e}")),
-        )
+    // One shard holds everything. Otherwise the control-plane events (ticks,
+    // queries, samplers) all live on shard 0, on top of its delivery share —
+    // size it for both so smoke-scale sharded runs stop re-growing their
+    // queues mid-run.
+    let caps = if shards == 1 {
+        vec![tick_count + deliveries_cap + 64]
     } else {
         let mut caps = vec![(deliveries_cap / shards).max(16); shards];
-        caps[0] += control_cap;
-        Q::Epoch(Box::new(
-            EpochExecutor::with_shard_capacities_and_horizon(
-                threads,
-                lookahead,
-                &caps,
-                cfg.duration,
-            )
-            .unwrap_or_else(|e| panic!("cannot shard this run: {e}")),
-        ))
+        caps[0] += tick_count + cfg.vehicles / 8 + 64;
+        caps
     };
+    let mut queue: EpochExecutor<Ev<L::Payload, L::Timer>> =
+        EpochExecutor::with_shard_capacities_and_horizon(1, lookahead, &caps, cfg.duration)
+            .unwrap_or_else(|e| panic!("cannot shard this run: {e}"));
     // Shard routing: a delivery belongs to the shard owning the recipient's
     // current L3 region. Control events (ticks, queries, sampling) live on
     // shard 0; protocol timers stay on the shard that armed them.
@@ -853,7 +693,7 @@ fn drive<L: LocationService>(
     // End of run: packet conservation over the drained queue, then
     // trace/counter reconciliation if a complete trace rode along.
     #[cfg(feature = "check")]
-    if let Some(mut cs) = check.take() {
+    let violation = check.and_then(|mut cs| {
         let mut leftover = [0u64; 4];
         while let Some((_, _, ev)) = queue.pop() {
             if let Ev::Deliver(_, transport) = ev {
@@ -862,8 +702,8 @@ fn drive<L: LocationService>(
         }
         cs.oracle.end_of_run(leftover);
         cs.oracle.check_counter_reconciliation(&core);
-        *cs.out = cs.oracle.into_violation();
-    }
+        cs.oracle.into_violation()
+    });
 
     let mut report = RunReport::from_counters(
         protocol.name(),
@@ -900,8 +740,13 @@ fn drive<L: LocationService>(
     report.shard_migrations = shard_migrations;
     report.lookahead_violations = lookahead_violations;
     report.barrier_epochs = barrier_epochs;
-    let samples = telemetry.map(|s| s.into_samples()).unwrap_or_default();
-    (report, core.take_tracer(), samples)
+    RunOutput {
+        report,
+        tracer: core.take_tracer().map(|t| *t),
+        telemetry: telemetry.map(|s| s.into_samples()).unwrap_or_default(),
+        #[cfg(feature = "check")]
+        violation,
+    }
 }
 
 /// One telemetry tick: feed newly completed queries into the sliding latency
@@ -987,9 +832,9 @@ fn telemetry_tick<L: LocationService>(
 /// network hops, so they stay on the emitting shard. Routing them by recipient
 /// region would violate the lookahead contract whenever the emitter's shard
 /// went stale (a timer armed before its vehicle migrated), and the merge is
-/// routing-invariant anyway (see the `shard` module's proptests).
+/// routing-invariant anyway (see `vanet_des`'s executor proptests).
 fn apply<P, T>(
-    queue: &mut Q<Ev<P, T>>,
+    queue: &mut EpochExecutor<Ev<P, T>>,
     fx: Vec<Effect<P, T>>,
     registry: &NodeRegistry,
     shard_of: &impl Fn(&NodeRegistry, NodeId) -> usize,
@@ -1053,6 +898,27 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_vehicle_draws_no_self_queries() {
+        // One vehicle has no one else to query: the workload is empty rather
+        // than a query of itself, which `SimConfig::check` rejects when given
+        // explicitly.
+        let cfg = SimConfig {
+            vehicles: 1,
+            query_fraction: 1.0,
+            ..SimConfig::quick_demo(3)
+        };
+        let mut rng = stream_rng(3, StreamId::Queries);
+        assert!(query_schedule(&cfg, SimDuration::from_secs(30), &mut rng).is_empty());
+        let r = run_simulation(&cfg, Protocol::Hlsrg);
+        assert_eq!(r.queries_launched, 0);
+        // Two vehicles still query each other.
+        let cfg = SimConfig { vehicles: 2, ..cfg };
+        let sched = query_schedule(&cfg, SimDuration::from_secs(30), &mut rng);
+        assert_eq!(sched.len(), 2);
+        assert!(sched.iter().all(|&(_, s, d)| s != d));
+    }
+
+    #[test]
     fn query_schedule_respects_window_and_self_exclusion() {
         let cfg = SimConfig::paper_2km(100, 3);
         let mut rng = stream_rng(3, StreamId::Queries);
@@ -1072,7 +938,12 @@ mod tests {
         // events, and require exact agreement with the RunReport counters.
         for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
             let cfg = SimConfig::quick_demo(7);
-            let (report, tracer) = run_simulation_traced(&cfg, protocol);
+            let sinks = RunSinks {
+                trace_ring: Some(vanet_trace::DEFAULT_RING_CAPACITY),
+                check: None,
+            };
+            let out = run_simulation_with(&cfg, protocol, &sinks);
+            let (report, tracer) = (out.report, out.tracer.expect("trace sink requested"));
             assert_eq!(tracer.overwritten(), 0, "ring too small for quick_demo");
             let events = vanet_trace::parse_jsonl(&tracer.to_jsonl());
             assert_eq!(events.len(), tracer.len(), "JSONL round trip lost events");
@@ -1099,6 +970,29 @@ mod tests {
         }
     }
 
+    /// The sinks of a checked run: the oracle armed with `setup`, plus a
+    /// trace ring for trace/counter reconciliation.
+    #[cfg(feature = "check")]
+    fn checked(setup: CheckSetup) -> RunSinks {
+        RunSinks {
+            trace_ring: Some(RECONCILIATION_RING),
+            check: Some(setup),
+        }
+    }
+
+    /// Asking for the oracle in a build without it fails loudly instead of
+    /// running unchecked.
+    #[cfg(not(feature = "check"))]
+    #[test]
+    #[should_panic(expected = "invariant oracle is compiled out")]
+    fn check_sink_needs_the_check_feature() {
+        let sinks = RunSinks {
+            check: Some(CheckSetup::default()),
+            ..RunSinks::default()
+        };
+        run_simulation_with(&SimConfig::quick_demo(7), Protocol::Hlsrg, &sinks);
+    }
+
     /// Armed oracle on a healthy scenario: no violation, and the oracle must
     /// not perturb the simulation (identical counters to a plain run).
     #[cfg(feature = "check")]
@@ -1106,8 +1000,8 @@ mod tests {
     fn checked_run_is_clean_and_matches_plain_counters() {
         for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
             let cfg = SimConfig::quick_demo(7);
-            let (report, violation) =
-                run_simulation_checked(&cfg, protocol, &CheckSetup::default());
+            let out = run_simulation_with(&cfg, protocol, &checked(CheckSetup::default()));
+            let (report, violation) = (out.report, out.violation);
             assert!(violation.is_none(), "oracle flagged: {violation:?}");
             let plain = run_simulation(&cfg, protocol);
             assert_eq!(plain.update_packets, report.update_packets);
@@ -1129,8 +1023,8 @@ mod tests {
                 corrupt_at: Some(SimTime::ZERO + cfg.warmup),
                 ..CheckSetup::default()
             };
-            let (_, violation) = run_simulation_checked(&cfg, protocol, &setup);
-            let v = violation.expect("corruption went undetected");
+            let out = run_simulation_with(&cfg, protocol, &checked(setup));
+            let v = out.violation.expect("corruption went undetected");
             assert_eq!(v.invariant, "table-soundness", "{}", v.detail);
         }
     }
@@ -1142,13 +1036,14 @@ mod tests {
                 telemetry_interval: Some(SimDuration::from_secs(10)),
                 ..SimConfig::quick_demo(7)
             };
-            let (report, _, samples) = run_simulation_instrumented(&cfg, protocol, false);
+            let out = run_simulation_with(&cfg, protocol, &RunSinks::default());
+            let (report, samples) = (out.report, out.telemetry);
             // 90 s run, 10 s interval: ticks at 10..=80 plus the final sample.
             assert_eq!(samples.len(), 9, "{protocol:?}");
             let jsonl = vanet_trace::telemetry_to_jsonl(&samples);
 
             // Byte-identical across repeated same-seed runs.
-            let (_, _, again) = run_simulation_instrumented(&cfg, protocol, false);
+            let again = run_simulation_with(&cfg, protocol, &RunSinks::default()).telemetry;
             assert_eq!(jsonl, vanet_trace::telemetry_to_jsonl(&again));
             // And the stream round-trips through its own parser.
             assert_eq!(vanet_trace::parse_telemetry_jsonl(&jsonl), samples);

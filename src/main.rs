@@ -17,8 +17,8 @@ use hlsrg_suite::des::{SimDuration, SimTime};
 use hlsrg_suite::mobility::{LightConfig, MobilityConfig, MobilityModel, Ns2Trace, TrafficLights};
 use hlsrg_suite::roadnet::{generate_grid, to_map_text, GridMapSpec, MapSpecError};
 use hlsrg_suite::scenario::{
-    fig3_2, fig3_345, replicate_averaged, run_simulation, run_simulation_instrumented,
-    BenchOptions, BenchScale, ConfigError, FigureScale, Protocol, RunReport, SimConfig,
+    fig3_2, fig3_345, replicate_averaged, run_simulation, run_simulation_with, BenchOptions,
+    BenchScale, ConfigError, FigureScale, Protocol, RunOutput, RunReport, RunSinks, SimConfig,
 };
 use hlsrg_suite::trace::{cause_name, registry_from_events, TraceEvent};
 use rand::rngs::SmallRng;
@@ -111,9 +111,9 @@ commands:
                                      --map-size M  --seed S  --duration SECS  --csv
                                      --shards N (region-sharded event queues;
                                      results are byte-identical for any N)
-                                     --threads N (worker threads driving the
-                                     shards; default N = shards, also
-                                     byte-identical for any count)
+                                     --threads N (mobility-step threads, at
+                                     most N = shards; default N = shards,
+                                     also byte-identical for any count)
                                      --trace-out FILE (JSONL event trace)
                                      --telemetry-out FILE (JSONL time series)
                                      --telemetry-interval SECS (default 5)
@@ -332,7 +332,18 @@ fn cmd_run(flags: &Flags) -> ExitCode {
         Ok(f) => f,
         Err(code) => return code,
     };
-    let (r, tracer, samples) = run_simulation_instrumented(&cfg, protocol, trace_path.is_some());
+    let sinks = RunSinks {
+        trace_ring: trace_path
+            .is_some()
+            .then_some(hlsrg_suite::trace::DEFAULT_RING_CAPACITY),
+        ..RunSinks::default()
+    };
+    let RunOutput {
+        report: r,
+        tracer,
+        telemetry: samples,
+        ..
+    } = run_simulation_with(&cfg, protocol, &sinks);
     if let (Some(path), Some(tracer), Some(file)) = (trace_path, &tracer, trace_file.as_mut()) {
         let write = tracer.write_jsonl(file).and_then(|()| {
             if tracer.overwritten() > 0 {

@@ -3,10 +3,11 @@
 //! the `report` dashboard, and the `bench --compare` regression gate.
 
 use hlsrg_suite::scenario::{
-    append_trajectory, run_simulation_instrumented, run_simulation_traced, BenchRecord, Protocol,
-    SimConfig,
+    append_trajectory, run_simulation_with, BenchRecord, Protocol, RunSinks, SimConfig,
 };
-use hlsrg_suite::trace::{parse_telemetry_jsonl, telemetry_to_jsonl, truncation_line};
+use hlsrg_suite::trace::{
+    parse_telemetry_jsonl, telemetry_to_jsonl, truncation_line, DEFAULT_RING_CAPACITY,
+};
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -29,8 +30,12 @@ fn stderr_of(out: &Output) -> String {
 /// A small but real trace, produced through the library so the lines match
 /// whatever the current `TraceEvent` wire format is.
 fn demo_trace_jsonl() -> String {
-    let (_, tracer) = run_simulation_traced(&SimConfig::quick_demo(3), Protocol::Hlsrg);
-    let text = tracer.to_jsonl();
+    let sinks = RunSinks {
+        trace_ring: Some(DEFAULT_RING_CAPACITY),
+        ..RunSinks::default()
+    };
+    let out = run_simulation_with(&SimConfig::quick_demo(3), Protocol::Hlsrg, &sinks);
+    let text = out.tracer.expect("trace sink requested").to_jsonl();
     assert!(!text.is_empty(), "demo run produced no trace events");
     text
 }
@@ -119,7 +124,7 @@ fn report_renders_a_self_contained_dashboard() {
     // Telemetry from a real instrumented run, written the way `run` writes it.
     let mut cfg = SimConfig::quick_demo(5);
     cfg.telemetry_interval = Some(SimDuration::from_secs(15));
-    let (_, _, samples) = run_simulation_instrumented(&cfg, Protocol::Hlsrg, false);
+    let samples = run_simulation_with(&cfg, Protocol::Hlsrg, &RunSinks::default()).telemetry;
     let telemetry_path = tmp("report-telemetry.jsonl");
     std::fs::write(&telemetry_path, telemetry_to_jsonl(&samples)).unwrap();
 

@@ -9,10 +9,10 @@
 //! self-diagnostics, wall-clock timings) excluded.
 
 use hlsrg_suite::scenario::{
-    run_simulation, run_simulation_instrumented, run_simulation_traced, Protocol, RunReport,
-    SimConfig,
+    run_simulation, run_simulation_with, Protocol, RunReport, RunSinks, SimConfig,
 };
 use vanet_des::SimDuration;
+use vanet_trace::DEFAULT_RING_CAPACITY;
 
 const SHARD_COUNTS: [usize; 3] = [2, 4, 8];
 
@@ -43,6 +43,21 @@ fn threaded(cfg: &SimConfig, shards: usize, threads: usize) -> SimConfig {
 }
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// The run's event trace as JSONL.
+fn trace_jsonl(cfg: &SimConfig, protocol: Protocol) -> String {
+    let sinks = RunSinks {
+        trace_ring: Some(DEFAULT_RING_CAPACITY),
+        ..RunSinks::default()
+    };
+    let out = run_simulation_with(cfg, protocol, &sinks);
+    out.tracer.expect("trace sink requested").to_jsonl()
+}
+
+/// The run's telemetry series (the config sets its interval).
+fn telemetry(cfg: &SimConfig, protocol: Protocol) -> Vec<vanet_trace::TelemetrySample> {
+    run_simulation_with(cfg, protocol, &RunSinks::default()).telemetry
+}
 
 /// Every report field that must be identical across shard counts, rendered to
 /// one comparable string. Excluded as shard-count-dependent by construction:
@@ -122,12 +137,10 @@ fn sharded_reports_are_byte_identical_to_single_shard() {
 fn sharded_traces_are_byte_identical() {
     for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
         let base_cfg = multi_l3_cfg(7);
-        let (_, tracer) = run_simulation_traced(&base_cfg, protocol);
-        let want = tracer.to_jsonl();
+        let want = trace_jsonl(&base_cfg, protocol);
         for shards in SHARD_COUNTS {
-            let (_, tracer) = run_simulation_traced(&sharded(&base_cfg, shards), protocol);
             assert_eq!(
-                tracer.to_jsonl(),
+                trace_jsonl(&sharded(&base_cfg, shards), protocol),
                 want,
                 "{protocol:?} trace drifted at {shards} shards"
             );
@@ -142,12 +155,11 @@ fn sharded_telemetry_is_byte_identical() {
             telemetry_interval: Some(SimDuration::from_secs(10)),
             ..multi_l3_cfg(7)
         };
-        let (_, _, samples) = run_simulation_instrumented(&base_cfg, protocol, false);
+        let samples = telemetry(&base_cfg, protocol);
         let want = vanet_trace::telemetry_to_jsonl(&samples);
         assert!(samples.iter().any(|s| s.barriers > 0));
         for shards in SHARD_COUNTS {
-            let (_, _, samples) =
-                run_simulation_instrumented(&sharded(&base_cfg, shards), protocol, false);
+            let samples = telemetry(&sharded(&base_cfg, shards), protocol);
             assert_eq!(
                 vanet_trace::telemetry_to_jsonl(&samples),
                 want,
@@ -157,10 +169,10 @@ fn sharded_telemetry_is_byte_identical() {
     }
 }
 
-/// The thread matrix: at a fixed shard count the worker-thread count is pure
-/// mechanism — per-shard queue mechanics move onto a pool while every handler
-/// still runs on the commit thread in global `(time, seq)` order — so reports
-/// must be byte-identical to the single-shard run at every thread count.
+/// The thread matrix: at a fixed shard count the thread count only fans the
+/// mobility step out over disjoint slices of the fleet, while every event
+/// still runs in global `(time, seq)` order — so reports must be
+/// byte-identical to the single-shard run at every thread count.
 #[test]
 fn threaded_reports_are_byte_identical_across_thread_counts() {
     for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
@@ -179,35 +191,31 @@ fn threaded_reports_are_byte_identical_across_thread_counts() {
 }
 
 /// Traces and telemetry streams — the full serialized observable surface —
-/// stay byte-identical across worker-thread counts.
+/// stay byte-identical across thread counts.
 #[test]
 fn threaded_traces_and_telemetry_are_byte_identical() {
     let base_cfg = SimConfig {
         telemetry_interval: Some(SimDuration::from_secs(10)),
         ..multi_l3_cfg(7)
     };
-    let (_, trace_want) = run_simulation_traced(&base_cfg, Protocol::Hlsrg);
-    let trace_want = trace_want.to_jsonl();
-    let (_, _, samples) = run_simulation_instrumented(&base_cfg, Protocol::Hlsrg, false);
-    let tele_want = vanet_trace::telemetry_to_jsonl(&samples);
+    let trace_want = trace_jsonl(&base_cfg, Protocol::Hlsrg);
+    let tele_want = vanet_trace::telemetry_to_jsonl(&telemetry(&base_cfg, Protocol::Hlsrg));
     for threads in THREAD_COUNTS {
         let cfg = threaded(&base_cfg, 4, threads);
-        let (_, tracer) = run_simulation_traced(&cfg, Protocol::Hlsrg);
         assert_eq!(
-            tracer.to_jsonl(),
+            trace_jsonl(&cfg, Protocol::Hlsrg),
             trace_want,
             "trace drifted at 4 shards / {threads} threads"
         );
-        let (_, _, samples) = run_simulation_instrumented(&cfg, Protocol::Hlsrg, false);
         assert_eq!(
-            vanet_trace::telemetry_to_jsonl(&samples),
+            vanet_trace::telemetry_to_jsonl(&telemetry(&cfg, Protocol::Hlsrg)),
             tele_want,
             "telemetry drifted at 4 shards / {threads} threads"
         );
     }
 }
 
-/// A thread count above the shard count clamps down to one worker per shard
+/// A thread count above the shard count clamps down to the shard count
 /// instead of failing; output bytes are unchanged.
 #[test]
 fn oversubscribed_thread_count_clamps_to_shards() {
@@ -258,23 +266,34 @@ fn zero_lookahead_config_fails_fast_when_sharded() {
     run_simulation(&cfg, Protocol::Hlsrg);
 }
 
+/// A run with the invariant oracle armed and a trace riding along for
+/// trace/counter reconciliation: its report and first violation.
+#[cfg(feature = "check")]
+fn checked(
+    cfg: &SimConfig,
+    protocol: Protocol,
+) -> (RunReport, Option<hlsrg_suite::scenario::Violation>) {
+    use hlsrg_suite::scenario::{CheckSetup, RECONCILIATION_RING};
+    let sinks = RunSinks {
+        trace_ring: Some(RECONCILIATION_RING),
+        check: Some(CheckSetup::default()),
+    };
+    let out = run_simulation_with(cfg, protocol, &sinks);
+    (out.report, out.violation)
+}
+
 /// With the oracle armed, sharded runs stay violation-free (including the
 /// shard-handoff conservation audit) and report identical counters.
 #[cfg(feature = "check")]
 #[test]
 fn checked_sharded_runs_are_clean_and_identical() {
-    use hlsrg_suite::scenario::{run_simulation_checked, CheckSetup};
     for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
         let base_cfg = multi_l3_cfg(42);
-        let (base, v) = run_simulation_checked(&base_cfg, protocol, &CheckSetup::default());
+        let (base, v) = checked(&base_cfg, protocol);
         assert!(v.is_none(), "oracle flagged the single-shard run: {v:?}");
         let want = fingerprint(&base);
         for shards in SHARD_COUNTS {
-            let (got, v) = run_simulation_checked(
-                &sharded(&base_cfg, shards),
-                protocol,
-                &CheckSetup::default(),
-            );
+            let (got, v) = checked(&sharded(&base_cfg, shards), protocol);
             assert!(v.is_none(), "oracle flagged {shards} shards: {v:?}");
             assert_eq!(
                 fingerprint(&got),
@@ -290,17 +309,12 @@ fn checked_sharded_runs_are_clean_and_identical() {
 #[cfg(feature = "check")]
 #[test]
 fn checked_threaded_runs_are_clean_and_identical() {
-    use hlsrg_suite::scenario::{run_simulation_checked, CheckSetup};
     let base_cfg = multi_l3_cfg(42);
-    let (base, v) = run_simulation_checked(&base_cfg, Protocol::Hlsrg, &CheckSetup::default());
+    let (base, v) = checked(&base_cfg, Protocol::Hlsrg);
     assert!(v.is_none(), "oracle flagged the single-shard run: {v:?}");
     let want = fingerprint(&base);
     for threads in THREAD_COUNTS {
-        let (got, v) = run_simulation_checked(
-            &threaded(&base_cfg, 4, threads),
-            Protocol::Hlsrg,
-            &CheckSetup::default(),
-        );
+        let (got, v) = checked(&threaded(&base_cfg, 4, threads), Protocol::Hlsrg);
         assert!(
             v.is_none(),
             "oracle flagged 4 shards / {threads} threads: {v:?}"
