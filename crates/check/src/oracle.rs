@@ -1,6 +1,6 @@
 //! The runtime invariant oracle.
 //!
-//! The scenario runner (under its `check` feature) threads every emission,
+//! The scenario runner, when a run arms the oracle, threads every emission,
 //! delivery, and end-of-run state through an [`Oracle`]; the oracle cross-checks
 //! them against the simulator's core invariants and records the **first**
 //! violation it sees. A violated run still completes — the harness surfaces the

@@ -303,30 +303,28 @@ impl NetworkCore {
                 }
                 GpsrStep::Forward { next, header: fwd } => {
                     let (pa, pb) = (self.registry.pos(at), self.registry.pos(next));
-                    // Inline invariant assertions (`check` feature): cheap
-                    // per-hop sanity that also covers non-runner entry points
-                    // (floods, unit tests). The runner-side oracle re-checks
-                    // these without panicking so fuzz failures shrink cleanly.
-                    #[cfg(feature = "check")]
-                    {
-                        assert!(
-                            fwd.ttl < header.ttl,
-                            "gpsr forward must decrement ttl ({} -> {})",
-                            header.ttl,
-                            fwd.ttl
-                        );
-                        assert!(
-                            fwd.recovery_hops <= crate::gpsr::MAX_RECOVERY_HOPS,
-                            "gpsr recovery hop budget exceeded: {}",
-                            fwd.recovery_hops
-                        );
-                        assert!(
-                            pa.distance(pb) <= self.radio.range + 1e-6,
-                            "gpsr hop spans {:.1} m, beyond the {:.1} m radio range",
-                            pa.distance(pb),
-                            self.radio.range
-                        );
-                    }
+                    // Inline per-hop invariants, live in every build: they
+                    // are the only check on the first hop of a `send_gpsr`,
+                    // which the runner-side oracle never sees. The oracle
+                    // re-checks the later hops without panicking, so fuzz
+                    // failures shrink cleanly.
+                    assert!(
+                        fwd.ttl < header.ttl,
+                        "gpsr forward must decrement ttl ({} -> {})",
+                        header.ttl,
+                        fwd.ttl
+                    );
+                    assert!(
+                        fwd.recovery_hops <= crate::gpsr::MAX_RECOVERY_HOPS,
+                        "gpsr recovery hop budget exceeded: {}",
+                        fwd.recovery_hops
+                    );
+                    assert!(
+                        pa.distance(pb) <= self.radio.range + 1e-6,
+                        "gpsr hop spans {:.1} m, beyond the {:.1} m radio range",
+                        pa.distance(pb),
+                        self.radio.range
+                    );
                     let mut attempts = 0u64;
                     let mut success = false;
                     while attempts <= self.radio.retries as u64 {

@@ -88,8 +88,8 @@ pub struct SimConfig {
     /// byte-identical results (the determinism contract tested in
     /// `tests/shard_determinism.rs`).
     pub shards: usize,
-    /// Threads the mobility step fans out over (clamped to `1..=shards` and
-    /// to the host's cores). Each steps a disjoint slice of the fleet, so the
+    /// Threads the mobility step fans out over (capped at the host's cores;
+    /// independent of `shards`). Each steps a disjoint slice of the fleet, so the
     /// thread count never changes any output byte.
     pub threads: usize,
 }

@@ -7,6 +7,7 @@
 //! * [`run_simulation`] — one run, one protocol, one [`RunReport`];
 //!   [`run_simulation_with`] also feeds optional [`RunSinks`] (event trace,
 //!   invariant oracle) and returns them in a [`RunOutput`].
+//! * [`fuzz`] — seeded scenario fuzzing with the invariant oracle armed.
 //! * [`replicate()`] / [`replicate_averaged`] — seed fan-out over threads.
 //! * [`figures`] — `fig3_2` … `fig3_5`, the published sweeps.
 //!
@@ -23,7 +24,6 @@
 pub mod bench;
 pub mod config;
 pub mod figures;
-#[cfg(feature = "check")]
 pub mod fuzz;
 pub mod metrics;
 pub mod plot;
@@ -43,8 +43,7 @@ pub use plot::{ascii_chart, svg_chart};
 pub use pool::JobPool;
 pub use replicate::{replicate, replicate_averaged, replicate_batch, replicate_with_threads};
 pub use report::{render_report, ReportInputs};
-#[cfg(feature = "check")]
-pub use runner::Violation;
 pub use runner::{
-    run_simulation, run_simulation_with, CheckSetup, RunOutput, RunSinks, RECONCILIATION_RING,
+    run_simulation, run_simulation_with, CheckSetup, RunOutput, RunSinks, Violation,
+    RECONCILIATION_RING,
 };

@@ -25,12 +25,10 @@ use vanet_net::{
 use vanet_roadnet::{generate_grid, Partition, RoadNetwork};
 use vanet_trace::{Phase, TelemetrySample, TelemetrySampler, TelemetrySnapshot, Tracer};
 
-#[cfg(feature = "check")]
 pub use vanet_check::Violation;
 
 /// Options for a checked run: the location-table staleness slack and the
-/// deliberate-corruption self-test. Arming the oracle needs the `check`
-/// feature.
+/// deliberate-corruption self-test.
 #[derive(Debug, Clone)]
 pub struct CheckSetup {
     /// Extra slack (m) on the location-table ground-truth bound
@@ -63,8 +61,9 @@ pub struct RunSinks {
     /// With the oracle armed, a trace that did not overflow is also
     /// reconciled against the report counters.
     pub trace_ring: Option<usize>,
-    /// Arms the invariant oracle; `None` leaves it off. A run panics when
-    /// it is set in a build without the `check` feature.
+    /// Arms the invariant oracle; `None` leaves it off. The oracle is compiled
+    /// into every build; unarmed, it costs one `None` test per emission and
+    /// per delivery.
     pub check: Option<CheckSetup>,
 }
 
@@ -82,27 +81,94 @@ pub struct RunOutput {
     pub telemetry: Vec<TelemetrySample>,
     /// The first violated invariant, if the armed oracle saw one. A violated
     /// run still completes, so the fuzzer can shrink the configuration.
-    #[cfg(feature = "check")]
     pub violation: Option<Violation>,
 }
 
-/// Live oracle state carried through `drive`.
-#[cfg(feature = "check")]
-struct CheckState<'a> {
-    setup: &'a CheckSetup,
+/// Live oracle state carried through `drive` when [`RunSinks::check`] arms it.
+/// `apply` ledgers every scheduled delivery; the `Deliver` arm wraps the core
+/// in `pre_deliver`/`post_deliver`.
+struct CheckState {
     oracle: vanet_check::Oracle,
-    corrupted: bool,
+    pos_slack: f64,
+    /// The time of the deliberate corruption, until it has happened.
+    corrupt_at: Option<SimTime>,
 }
 
-/// Ledger hook: counts the `Deliver` effects about to be scheduled.
-#[cfg(feature = "check")]
-fn note_fx<P, T>(check: &mut Option<CheckState<'_>>, fx: &[Effect<P, T>]) {
-    if let Some(cs) = check.as_mut() {
-        for f in fx {
-            if let Effect::Deliver(e) = f {
-                cs.oracle.note_emission(e);
+impl CheckState {
+    /// Arms the oracle and checks the static partition geometry once, before
+    /// any event fires; the RSU registration cross-check only applies when
+    /// RSUs exist as nodes.
+    fn new(setup: &CheckSetup, partition: &Partition, reg: &NodeRegistry, hlsrg: bool) -> Self {
+        let mut oracle = vanet_check::Oracle::new();
+        let rsu_positions: Option<Vec<vanet_geo::Point>> =
+            hlsrg.then(|| reg.rsu_nodes().iter().map(|&n| reg.pos(n)).collect());
+        oracle.check_partition(partition, rsu_positions.as_deref());
+        CheckState {
+            oracle,
+            pos_slack: setup.pos_slack,
+            corrupt_at: setup.corrupt_at,
+        }
+    }
+
+    /// The per-tick audit: location-table soundness against the registry's
+    /// ground truth (after the deliberate corruption, when armed and due),
+    /// then shard-handoff conservation: the incrementally tracked region map
+    /// must agree with ground truth and account for the whole fleet (no
+    /// vehicle lost or duplicated at an L3 boundary crossing).
+    fn audit_tick<L: LocationService>(
+        &mut self,
+        proto: &mut L,
+        core: &NetworkCore,
+        now: SimTime,
+        max_speed: f64,
+        partition: &Partition,
+        region_of: &[u32],
+    ) {
+        if self.corrupt_at.is_some_and(|at| now >= at) {
+            self.corrupt_at = None;
+            proto.corrupt_location_tables();
+        }
+        if let Err(detail) = proto.check_invariants(core, now, max_speed, self.pos_slack) {
+            self.oracle.report("table-soundness", detail);
+        }
+        let drift = region_of
+            .iter()
+            .enumerate()
+            .filter(|&(v, &r)| {
+                let node = core.registry.node_of_vehicle(VehicleId(v as u32));
+                partition.l3_of(core.registry.pos(node)).0 != r
+            })
+            .count();
+        let l3_count = partition.l3_count() as u32;
+        let total = region_of.iter().filter(|&&r| r < l3_count).count();
+        if drift > 0 || total != region_of.len() {
+            self.oracle.report(
+                "shard-conservation",
+                format!(
+                    "at {now}: {drift} vehicles with stale region tracking, \
+                     {total}/{} accounted for",
+                    region_of.len()
+                ),
+            );
+        }
+    }
+
+    /// End of run: packet conservation over the drained queue, then
+    /// trace/counter reconciliation if a complete trace rode along.
+    fn finish<P, T>(
+        mut self,
+        queue: &mut EpochExecutor<Ev<P, T>>,
+        core: &NetworkCore,
+    ) -> Option<Violation> {
+        let mut leftover = [0u64; 4];
+        while let Some((_, _, ev)) = queue.pop() {
+            if let Ev::Deliver(_, transport) = ev {
+                leftover[vanet_check::class_ix(&transport)] += 1;
             }
         }
+        self.oracle.end_of_run(leftover);
+        self.oracle.check_counter_reconciliation(core);
+        self.oracle.into_violation()
     }
 }
 
@@ -336,33 +402,8 @@ fn drive<L: LocationService>(
     deadline: SimDuration,
     check: Option<&CheckSetup>,
 ) -> RunOutput {
-    #[cfg(not(feature = "check"))]
-    assert!(
-        check.is_none(),
-        "the invariant oracle is compiled out: build with `--features check`"
-    );
-    // Static partition geometry is checked once, before any event fires; the
-    // RSU registration cross-check only applies when RSUs exist as nodes.
-    #[cfg(feature = "check")]
-    let mut check = check.map(|setup| {
-        let mut oracle = vanet_check::Oracle::new();
-        let rsu_positions: Option<Vec<vanet_geo::Point>> = match protocol {
-            Protocol::Hlsrg => Some(
-                core.registry
-                    .rsu_nodes()
-                    .iter()
-                    .map(|&n| core.registry.pos(n))
-                    .collect(),
-            ),
-            Protocol::Rlsmp => None,
-        };
-        oracle.check_partition(partition, rsu_positions.as_deref());
-        CheckState {
-            setup,
-            oracle,
-            corrupted: false,
-        }
-    });
+    let hlsrg = protocol == Protocol::Hlsrg;
+    let mut check = check.map(|setup| CheckState::new(setup, partition, &core.registry, hlsrg));
     // Conservative-sync lookahead, derived for *every* shard count so the
     // barrier-epoch telemetry is shard-invariant. A degenerate config only
     // matters when the run is actually sharded — a single shard needs no
@@ -385,14 +426,13 @@ fn drive<L: LocationService>(
     // vehicles), so the queue grows once there. After the first 5 simulated
     // seconds the same run never holds more than 4,742 pending events.
     let tick_count = (cfg.duration.as_micros() / cfg.mobility.tick.as_micros().max(1)) as usize;
-    // `--threads` sizes the mobility step's fan-out, clamped to the shard
-    // count (the traced benchmark driver clamps identically, so its runs step
-    // the same way) and to the host's cores. The step's output is
-    // thread-count-invariant, so the clamp changes wall clock only.
+    // `--threads` sizes the mobility step's fan-out, capped at the host's
+    // cores. The step's output is thread-count-invariant, so the cap changes
+    // wall clock only.
     let hw = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(usize::MAX);
-    let threads = cfg.threads.clamp(1, shards).min(hw).max(1);
+    let threads = cfg.threads.clamp(1, hw);
     let deliveries_cap = cfg.vehicles * 32;
     // One shard holds everything. Otherwise the control-plane events (ticks,
     // queries, samplers) all live on shard 0, on top of its delivery share —
@@ -455,12 +495,10 @@ fn drive<L: LocationService>(
     let mut lat_seen: Vec<bool> = Vec::new();
     // Protocol start-of-world timers, then initial registration of every vehicle.
     let fx = proto.on_start(&mut core);
-    #[cfg(feature = "check")]
-    note_fx(&mut check, &fx);
-    apply(&mut queue, fx, &core.registry, &shard_of, 0);
+    apply(&mut queue, &mut check, fx, &core, shard_of, 0);
     let joins = model.snapshot(&net);
     // Per-vehicle L3 region, tracked incrementally: the source of the
-    // migration count and (under `check`) the conservation audit.
+    // migration count and (with the oracle armed) the conservation audit.
     let mut region_of: Vec<u32> = joins.iter().map(|s| partition.l3_of(s.new_pos).0).collect();
     let mut shard_migrations = 0u64;
     let mut boundary_events = 0u64;
@@ -468,9 +506,7 @@ fn drive<L: LocationService>(
     // region at pop time) — the telemetry shard-balance series.
     let mut region_events = vec![0u64; l3_count];
     let fx = proto.on_join(&mut core, &joins, SimTime::ZERO);
-    #[cfg(feature = "check")]
-    note_fx(&mut check, &fx);
-    apply(&mut queue, fx, &core.registry, &shard_of, 0);
+    apply(&mut queue, &mut check, fx, &core, shard_of, 0);
 
     // The explicit event loop (same stopping rule as `vanet_des::run_until`:
     // process while the head event's time is `<= horizon`), so the queue pop,
@@ -507,55 +543,10 @@ fn drive<L: LocationService>(
                     }
                 }
                 let fx = proto.on_move(&mut core, samples, now);
-                #[cfg(feature = "check")]
-                note_fx(&mut check, &fx);
-                apply(&mut queue, fx, &core.registry, &shard_of, 0);
-                // Per-tick protocol audit: location-table soundness against the
-                // registry's ground truth (plus the deliberate-corruption
-                // self-test when armed).
-                #[cfg(feature = "check")]
+                apply(&mut queue, &mut check, fx, &core, shard_of, 0);
                 if let Some(cs) = check.as_mut() {
-                    if let Some(at) = cs.setup.corrupt_at {
-                        if !cs.corrupted && now >= at {
-                            cs.corrupted = true;
-                            proto.corrupt_location_tables();
-                        }
-                    }
-                    if let Err(detail) = proto.check_invariants(
-                        &core,
-                        now,
-                        cfg.mobility.max_speed,
-                        cs.setup.pos_slack,
-                    ) {
-                        cs.oracle.report("table-soundness", detail);
-                    }
-                    // Shard-handoff conservation: the incrementally-tracked
-                    // region map must agree with ground truth and account for
-                    // the whole fleet (no vehicle lost or duplicated at an
-                    // L3 boundary crossing).
-                    let mut fresh = vec![0u64; l3_count];
-                    let mut drift = 0usize;
-                    for (v, &r) in region_of.iter().enumerate() {
-                        let node = core.registry.node_of_vehicle(VehicleId(v as u32));
-                        let truth = partition.l3_of(core.registry.pos(node)).0;
-                        if truth != r {
-                            drift += 1;
-                        }
-                        if let Some(slot) = fresh.get_mut(r as usize) {
-                            *slot += 1;
-                        }
-                    }
-                    let total: u64 = fresh.iter().sum();
-                    if drift > 0 || total != region_of.len() as u64 {
-                        cs.oracle.report(
-                            "shard-conservation",
-                            format!(
-                                "at {now}: {drift} vehicles with stale region \
-                                 tracking, {total}/{} accounted for",
-                                region_of.len()
-                            ),
-                        );
-                    }
+                    let max_speed = cfg.mobility.max_speed;
+                    cs.audit_tick(&mut proto, &core, now, max_speed, partition, &region_of);
                 }
             }
             Ev::Deliver(to, transport) => {
@@ -572,7 +563,6 @@ fn drive<L: LocationService>(
                     *slot += 1;
                 }
                 queue.set_origin(Some(current));
-                #[cfg(feature = "check")]
                 let pending = check
                     .as_mut()
                     .map(|cs| cs.oracle.pre_deliver(&transport, &core.counters));
@@ -580,15 +570,10 @@ fn drive<L: LocationService>(
                 // the at-most-one follow-up keeps this arm allocation-free.
                 let (arrived, more) = core.handle_deliver_step(to, transport);
                 // `post_deliver` ledgers the followup emissions itself.
-                #[cfg(feature = "check")]
-                if let Some(cs) = check.as_mut() {
-                    cs.oracle.post_deliver(
-                        &core,
-                        to,
-                        pending.expect("pre_deliver snapshot exists"),
-                        arrived.is_some(),
-                        more.as_slice(),
-                    );
+                if let (Some(cs), Some(pending)) = (check.as_mut(), pending) {
+                    let arrived = arrived.is_some();
+                    cs.oracle
+                        .post_deliver(&core, to, pending, arrived, more.as_slice());
                 }
                 if let Some(e) = more {
                     // Same routing rule as `apply`: zero-delay steps are local.
@@ -604,9 +589,7 @@ fn drive<L: LocationService>(
                 }
                 if let Some((class, payload)) = arrived {
                     let fx = proto.on_packet(&mut core, to, class, payload, now);
-                    #[cfg(feature = "check")]
-                    note_fx(&mut check, &fx);
-                    apply(&mut queue, fx, &core.registry, &shard_of, current);
+                    apply(&mut queue, &mut check, fx, &core, shard_of, current);
                 }
                 queue.set_origin(None);
             }
@@ -615,16 +598,12 @@ fn drive<L: LocationService>(
                 // its effects originate from the shard it popped on.
                 queue.set_origin(Some(popped_shard));
                 let fx = proto.on_timer(&mut core, key, now);
-                #[cfg(feature = "check")]
-                note_fx(&mut check, &fx);
-                apply(&mut queue, fx, &core.registry, &shard_of, popped_shard);
+                apply(&mut queue, &mut check, fx, &core, shard_of, popped_shard);
                 queue.set_origin(None);
             }
             Ev::Query(src, dst) => {
                 let fx = proto.launch_query(&mut core, src, dst, now);
-                #[cfg(feature = "check")]
-                note_fx(&mut check, &fx);
-                apply(&mut queue, fx, &core.registry, &shard_of, 0);
+                apply(&mut queue, &mut check, fx, &core, shard_of, 0);
             }
             Ev::Sample => {
                 let completed = proto
@@ -681,7 +660,7 @@ fn drive<L: LocationService>(
     }
 
     // Queue self-telemetry and the shard bookkeeping, snapshotted before the
-    // check-mode drain below can perturb the counters.
+    // oracle's drain below can perturb the counters.
     let queue_stats = queue.telemetry();
     let shard_counts: Vec<(u64, u64)> = queue
         .shard_stats()
@@ -690,20 +669,7 @@ fn drive<L: LocationService>(
         .collect();
     let lookahead_violations = queue.violations();
     let barrier_epochs = queue.epochs();
-    // End of run: packet conservation over the drained queue, then
-    // trace/counter reconciliation if a complete trace rode along.
-    #[cfg(feature = "check")]
-    let violation = check.and_then(|mut cs| {
-        let mut leftover = [0u64; 4];
-        while let Some((_, _, ev)) = queue.pop() {
-            if let Ev::Deliver(_, transport) = ev {
-                leftover[vanet_check::class_ix(&transport)] += 1;
-            }
-        }
-        cs.oracle.end_of_run(leftover);
-        cs.oracle.check_counter_reconciliation(&core);
-        cs.oracle.into_violation()
-    });
+    let violation = check.and_then(|cs| cs.finish(&mut queue, &core));
 
     let mut report = RunReport::from_counters(
         protocol.name(),
@@ -744,7 +710,6 @@ fn drive<L: LocationService>(
         report,
         tracer: core.take_tracer().map(|t| *t),
         telemetry: telemetry.map(|s| s.into_samples()).unwrap_or_default(),
-        #[cfg(feature = "check")]
         violation,
     }
 }
@@ -825,7 +790,8 @@ fn telemetry_tick<L: LocationService>(
 }
 
 /// Schedules a batch of protocol effects: deliveries to the shard owning the
-/// recipient's current region, timers to the shard that emitted them.
+/// recipient's current region, timers to the shard that emitted them. An
+/// armed oracle ledgers each delivery as it is scheduled.
 ///
 /// Zero-delay deliveries are the exception: they are synchronous local
 /// computation steps (e.g. a GPSR packet arriving at its own origin), not
@@ -835,22 +801,28 @@ fn telemetry_tick<L: LocationService>(
 /// routing-invariant anyway (see `vanet_des`'s executor proptests).
 fn apply<P, T>(
     queue: &mut EpochExecutor<Ev<P, T>>,
+    check: &mut Option<CheckState>,
     fx: Vec<Effect<P, T>>,
-    registry: &NodeRegistry,
-    shard_of: &impl Fn(&NodeRegistry, NodeId) -> usize,
+    core: &NetworkCore,
+    shard_of: impl Fn(&NodeRegistry, NodeId) -> usize,
     origin_shard: usize,
 ) {
     for f in fx {
         match f {
-            Effect::Deliver(e) => queue.schedule_after(
-                if e.delay.is_zero() {
-                    origin_shard
-                } else {
-                    shard_of(registry, e.to)
-                },
-                e.delay,
-                Ev::Deliver(e.to, e.transport),
-            ),
+            Effect::Deliver(e) => {
+                if let Some(cs) = check.as_mut() {
+                    cs.oracle.note_emission(&e);
+                }
+                queue.schedule_after(
+                    if e.delay.is_zero() {
+                        origin_shard
+                    } else {
+                        shard_of(&core.registry, e.to)
+                    },
+                    e.delay,
+                    Ev::Deliver(e.to, e.transport),
+                )
+            }
             Effect::Timer { delay, key } => {
                 queue.schedule_after(origin_shard, delay, Ev::Timer(key))
             }
@@ -972,7 +944,6 @@ mod tests {
 
     /// The sinks of a checked run: the oracle armed with `setup`, plus a
     /// trace ring for trace/counter reconciliation.
-    #[cfg(feature = "check")]
     fn checked(setup: CheckSetup) -> RunSinks {
         RunSinks {
             trace_ring: Some(RECONCILIATION_RING),
@@ -980,22 +951,8 @@ mod tests {
         }
     }
 
-    /// Asking for the oracle in a build without it fails loudly instead of
-    /// running unchecked.
-    #[cfg(not(feature = "check"))]
-    #[test]
-    #[should_panic(expected = "invariant oracle is compiled out")]
-    fn check_sink_needs_the_check_feature() {
-        let sinks = RunSinks {
-            check: Some(CheckSetup::default()),
-            ..RunSinks::default()
-        };
-        run_simulation_with(&SimConfig::quick_demo(7), Protocol::Hlsrg, &sinks);
-    }
-
     /// Armed oracle on a healthy scenario: no violation, and the oracle must
     /// not perturb the simulation (identical counters to a plain run).
-    #[cfg(feature = "check")]
     #[test]
     fn checked_run_is_clean_and_matches_plain_counters() {
         for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
@@ -1014,7 +971,6 @@ mod tests {
 
     /// The corruption hook flips exactly the invariant it is supposed to flip,
     /// at the runner seam (the full fuzzer-side demo lives in `fuzz::tests`).
-    #[cfg(feature = "check")]
     #[test]
     fn corruption_hook_trips_table_soundness() {
         for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {

@@ -21,6 +21,8 @@
 //!   the paper's evaluation.
 //! * [`trace`] — structured event trace (JSONL), per-node/per-level metrics
 //!   registry, and feature-gated timing spans around the DES hot phases.
+//! * [`check`] — the runtime invariant oracle and the fuzz-case model behind
+//!   the `fuzz` subcommand.
 //!
 //! ## Quickstart
 //!
@@ -45,6 +47,6 @@ pub use rlsmp as baseline;
 pub use vanet_scenario as scenario;
 pub use vanet_trace as trace;
 
-/// Runtime invariant oracle + fuzz-case model (only with the `check` feature).
-#[cfg(feature = "check")]
+/// Runtime invariant oracle + fuzz-case model, armed per run by
+/// [`scenario::RunSinks::check`].
 pub use vanet_check as check;

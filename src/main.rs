@@ -11,7 +11,12 @@
 //! hlsrg report   [--telemetry FILE] [--bench FILE] [--figures none|smoke|paper]
 //!                [--title T] [--out FILE]
 //! hlsrg bench    [--compare LABEL] [--threshold PCT]
+//! hlsrg fuzz     [--runs N] [--seed S] [--corrupt] [--pool N|auto] [--out FILE]
+//!                [--replay FILE]
 //! ```
+//!
+//! Every command rejects a flag it does not read, and prints its usage for
+//! `--help` or `-h`.
 
 use hlsrg_suite::des::{SimDuration, SimTime};
 use hlsrg_suite::mobility::{LightConfig, MobilityConfig, MobilityModel, Ns2Trace, TrafficLights};
@@ -69,15 +74,28 @@ fn main() -> ExitCode {
         usage();
         return ExitCode::FAILURE;
     };
-    if cmd == "inspect" {
-        // `inspect` takes a positional file argument before its flags.
-        return cmd_inspect(rest);
+    let Some(known) = flags_of(cmd) else {
+        if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+            usage();
+            return ExitCode::SUCCESS;
+        }
+        eprintln!("error: unknown command {cmd:?}");
+        usage();
+        return ExitCode::FAILURE;
+    };
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        usage();
+        return ExitCode::SUCCESS;
     }
-    let flags = match parse_flags(rest) {
+    // `inspect` takes a positional file argument before its flags.
+    let (file, rest) = match rest.split_first() {
+        Some((f, r)) if cmd == "inspect" && !f.starts_with("--") => (f.as_str(), r),
+        _ => ("", rest),
+    };
+    let flags = match parse_flags(rest, known) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
-            usage();
             return ExitCode::FAILURE;
         }
     };
@@ -87,19 +105,31 @@ fn main() -> ExitCode {
         "compare" => cmd_compare(&flags),
         "map" => cmd_map(&flags),
         "trace" => cmd_trace(&flags),
+        "inspect" => cmd_inspect(file, &flags),
         "fuzz" => cmd_fuzz(&flags),
         "bench" => cmd_bench(&flags),
         "report" => cmd_report(&flags),
-        "help" | "--help" | "-h" => {
-            usage();
-            ExitCode::SUCCESS
-        }
-        other => {
-            eprintln!("error: unknown command {other:?}");
-            usage();
-            ExitCode::FAILURE
-        }
+        _ => unreachable!("flags_of lists exactly the commands dispatched here"),
     }
+}
+
+/// The flags each command reads, space-separated; any other flag is an error.
+fn flags_of(cmd: &str) -> Option<&'static str> {
+    Some(match cmd {
+        "run" => {
+            "protocol vehicles map-size seed duration shards threads csv trace-out \
+             telemetry-out telemetry-interval"
+        }
+        "compare" => "vehicles map-size seed duration shards threads reps",
+        "figures" => "paper csv",
+        "map" => "size jitter seed out",
+        "trace" => "size vehicles duration seed out",
+        "inspect" => "top query",
+        "fuzz" => "runs seed corrupt pool out replay",
+        "bench" => "scale reps threads label only out check compare threshold",
+        "report" => "telemetry bench figures title out",
+        _ => return None,
+    })
 }
 
 fn usage() {
@@ -111,8 +141,8 @@ commands:
                                      --map-size M  --seed S  --duration SECS  --csv
                                      --shards N (region-sharded event queues;
                                      results are byte-identical for any N)
-                                     --threads N (mobility-step threads, at
-                                     most N = shards; default N = shards,
+                                     --threads N (mobility-step threads,
+                                     capped at the host's cores; default 1,
                                      also byte-identical for any count)
                                      --trace-out FILE (JSONL event trace)
                                      --telemetry-out FILE (JSONL time series)
@@ -128,8 +158,8 @@ commands:
            from `run --trace-out`    --query ID (one query's timeline)
   fuzz     seeded scenario fuzzing   --runs N  --seed S  --out FILE (corpus)
            with the invariant        --replay FILE (re-run a corpus)
-           oracle armed (needs the   --corrupt (arm the table-corruption
-           `check` cargo feature)    self-test mutation)
+           oracle armed              --corrupt (arm the table-corruption
+                                     self-test mutation)
                                      --pool N|auto (fan cases over the job pool)
   bench    time the canonical        --scale smoke|paper|large (or
            scenarios and append to   HLSRG_BENCH_SCALE); large = 10k vehicles,
@@ -145,19 +175,24 @@ commands:
            HTML dashboard            --bench FILE (perf trajectory)
                                      --figures none|smoke|paper (sweep curves)
                                      --title T  --out FILE (default report.html)
-  help     this message"
+  help     this message (also `<command> --help`)
+
+Any flag a command does not list is rejected."
     );
 }
 
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(args: &[String], known: &str) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a:?}"));
         };
+        if !known.split_whitespace().any(|k| k == name) {
+            return Err(format!("unknown flag --{name} (see --help)"));
+        }
         // Boolean flags take no value.
         if matches!(name, "csv" | "paper" | "corrupt") {
             flags.insert(name.into(), "true".into());
@@ -229,7 +264,7 @@ fn config_of(flags: &Flags) -> SimConfig {
         cfg.warmup = cfg.duration.mul_f64(0.3);
     }
     cfg.shards = get(flags, "shards", 1usize).max(1);
-    cfg.threads = get(flags, "threads", cfg.shards).max(1);
+    cfg.threads = get(flags, "threads", cfg.threads).max(1);
     match cfg.check() {
         Ok(()) => cfg,
         Err(e @ ConfigError::NoVehicles) => unusable("vehicles", flags, e),
@@ -398,20 +433,11 @@ fn print_phase_timings(r: &RunReport) {
     }
 }
 
-fn cmd_inspect(args: &[String]) -> ExitCode {
-    let Some((file, rest)) = args.split_first().filter(|(f, _)| !f.starts_with("--")) else {
+fn cmd_inspect(file: &str, flags: &Flags) -> ExitCode {
+    if file.is_empty() {
         eprintln!("error: inspect needs a trace file (hlsrg inspect FILE)");
-        usage();
         return ExitCode::FAILURE;
-    };
-    let flags = match parse_flags(rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-    };
+    }
     let text = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => {
@@ -465,10 +491,10 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
              summaries cover only the surviving suffix"
         );
     }
-    if let Some(q) = get_opt::<u64>(&flags, "query") {
+    if let Some(q) = get_opt::<u64>(flags, "query") {
         return print_query_timeline(&events, q);
     }
-    let top = get(&flags, "top", 5usize);
+    let top = get(flags, "top", 5usize);
     let reg = registry_from_events(&events);
     let span = events
         .last()
@@ -649,7 +675,6 @@ fn cmd_trace(flags: &Flags) -> ExitCode {
 /// Each case is a random-but-reproducible scenario config drawn from
 /// `--seed`; failures are shrunk to minimal reproducers and written (with
 /// the original case) to a `--out` JSONL corpus that `--replay` re-runs.
-#[cfg(feature = "check")]
 fn cmd_fuzz(flags: &Flags) -> ExitCode {
     use hlsrg_suite::scenario::fuzz::{corpus_of, fuzz_campaign, fuzz_campaign_pooled, replay};
 
@@ -740,20 +765,6 @@ fn cmd_fuzz(flags: &Flags) -> ExitCode {
     }
 }
 
-#[cfg(not(feature = "check"))]
-fn cmd_fuzz(_flags: &Flags) -> ExitCode {
-    eprintln!(
-        "error: `fuzz` needs the invariant oracle, which is compiled out by default.\n\
-         Rebuild with:  cargo build --release --features check"
-    );
-    ExitCode::FAILURE
-}
-
-/// `bench` — time the canonical scenarios and append to the perf trajectory.
-///
-/// The scale comes from `--scale`, falling back to the `HLSRG_BENCH_SCALE`
-/// environment variable (the CI hook), then to `smoke`. `--check FILE`
-/// validates an existing trajectory without running anything.
 /// `report` — render telemetry, figure sweeps, and the bench trajectory into
 /// one self-contained HTML file (inline SVG/CSS only; no external assets).
 fn cmd_report(flags: &Flags) -> ExitCode {
@@ -842,6 +853,11 @@ fn cmd_report(flags: &Flags) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// `bench` — time the canonical scenarios and append to the perf trajectory.
+///
+/// The scale comes from `--scale`, falling back to the `HLSRG_BENCH_SCALE`
+/// environment variable (the CI hook), then to `smoke`. `--check FILE`
+/// validates an existing trajectory without running anything.
 fn cmd_bench(flags: &Flags) -> ExitCode {
     use hlsrg_suite::scenario::{
         append_trajectory, compare_trajectory, parse_trajectory, run_bench,

@@ -1,6 +1,7 @@
-//! End-to-end tests for the `run` subcommand's flag handling and output:
-//! malformed flag values are errors, and trace builds print the per-phase
-//! timing summary on every `run` path.
+//! End-to-end tests for the CLI's flag handling and output: malformed values
+//! and unknown flags are errors, `--help` works for every command, `fuzz`
+//! runs in the default build, and trace builds print the per-phase timing
+//! summary on every `run` path.
 
 use std::process::{Command, Output};
 
@@ -41,6 +42,61 @@ fn malformed_flag_values_are_rejected() {
         "--telemetry-interval",
     );
     assert_rejected(&["compare", "--reps", "3x"], "--reps");
+    // A flag the command does not read is an error, not silently ignored.
+    assert_rejected(
+        &["run", "--vehicles", "5", "--duration", "5", "--bogus", "3"],
+        "--bogus",
+    );
+    assert_rejected(&["run", "--bogus"], "--bogus");
+    assert_rejected(&["figures", "--vehicles", "5"], "--vehicles");
+    assert_rejected(&["fuzz", "--runs", "1", "--vehicles", "5"], "--vehicles");
+    assert_rejected(&["inspect", "t.jsonl", "--shards", "2"], "--shards");
+}
+
+#[test]
+fn help_prints_usage_and_exits_zero() {
+    for args in [
+        &["help"][..],
+        &["--help"],
+        &["run", "--help"],
+        &["run", "-h"],
+        &["run", "--vehicles", "5", "--help"],
+        &["inspect", "--help"],
+        &["fuzz", "-h"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?} must exit 0");
+        assert!(out.stdout.is_empty(), "{args:?} must not run anything");
+        assert!(stderr_of(&out).contains("commands:"), "{args:?} usage");
+    }
+}
+
+/// The invariant oracle is in every build: `fuzz` runs clean campaigns,
+/// catches the deliberate table corruption, and replays its corpus.
+#[test]
+fn fuzz_runs_in_the_default_build() {
+    let out = run(&["fuzz", "--runs", "3", "--seed", "1"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("3 runs from seed 1, 0 failing"), "{stdout}");
+
+    let corpus = std::env::temp_dir().join(format!("hlsrg-fuzz-{}.jsonl", std::process::id()));
+    let corpus_path = corpus.to_str().unwrap();
+    let out = run(&["fuzz", "--runs", "2", "--corrupt", "--out", corpus_path]);
+    // The corruption self-test succeeds when the oracle catches it.
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("table-soundness"), "{stdout}");
+
+    let out = run(&["fuzz", "--replay", corpus_path]);
+    std::fs::remove_file(&corpus).ok();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a failing corpus replays as failing"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("FAIL table-soundness"), "{stdout}");
 }
 
 /// Well-formed values that describe no runnable world — no roads, no

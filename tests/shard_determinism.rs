@@ -44,6 +44,10 @@ fn threaded(cfg: &SimConfig, shards: usize, threads: usize) -> SimConfig {
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
+/// `(shards, threads)` rows of the thread matrix: every thread count at one
+/// shard and at four.
+const THREAD_MATRIX: [(usize, usize); 6] = [(1, 1), (1, 2), (1, 4), (4, 1), (4, 2), (4, 4)];
+
 /// The run's event trace as JSONL.
 fn trace_jsonl(cfg: &SimConfig, protocol: Protocol) -> String {
     let sinks = RunSinks {
@@ -169,22 +173,24 @@ fn sharded_telemetry_is_byte_identical() {
     }
 }
 
-/// The thread matrix: at a fixed shard count the thread count only fans the
-/// mobility step out over disjoint slices of the fleet, while every event
-/// still runs in global `(time, seq)` order — so reports must be
-/// byte-identical to the single-shard run at every thread count.
+/// The thread matrix: the thread count only fans the mobility step out over
+/// disjoint slices of the fleet, while every event still runs in global
+/// `(time, seq)` order — so reports must be byte-identical to the
+/// single-thread, single-shard run at every shard and thread count. The
+/// thread count is not tied to the shard count: one shard steps on as many
+/// threads as asked for.
 #[test]
 fn threaded_reports_are_byte_identical_across_thread_counts() {
     for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
         let base_cfg = multi_l3_cfg(42);
         let want = fingerprint(&run_simulation(&base_cfg, protocol));
-        for threads in THREAD_COUNTS {
-            let got = run_simulation(&threaded(&base_cfg, 4, threads), protocol);
+        for (shards, threads) in THREAD_MATRIX {
+            let got = run_simulation(&threaded(&base_cfg, shards, threads), protocol);
             assert_eq!(got.lookahead_violations, 0, "sync contract violated");
             assert_eq!(
                 fingerprint(&got),
                 want,
-                "{protocol:?} report drifted at 4 shards / {threads} threads"
+                "{protocol:?} report drifted at {shards} shards / {threads} threads"
             );
         }
     }
@@ -200,25 +206,25 @@ fn threaded_traces_and_telemetry_are_byte_identical() {
     };
     let trace_want = trace_jsonl(&base_cfg, Protocol::Hlsrg);
     let tele_want = vanet_trace::telemetry_to_jsonl(&telemetry(&base_cfg, Protocol::Hlsrg));
-    for threads in THREAD_COUNTS {
-        let cfg = threaded(&base_cfg, 4, threads);
+    for (shards, threads) in THREAD_MATRIX {
+        let cfg = threaded(&base_cfg, shards, threads);
         assert_eq!(
             trace_jsonl(&cfg, Protocol::Hlsrg),
             trace_want,
-            "trace drifted at 4 shards / {threads} threads"
+            "trace drifted at {shards} shards / {threads} threads"
         );
         assert_eq!(
             vanet_trace::telemetry_to_jsonl(&telemetry(&cfg, Protocol::Hlsrg)),
             tele_want,
-            "telemetry drifted at 4 shards / {threads} threads"
+            "telemetry drifted at {shards} shards / {threads} threads"
         );
     }
 }
 
-/// A thread count above the shard count clamps down to the shard count
-/// instead of failing; output bytes are unchanged.
+/// A thread count above the shard count (and above this host's cores) is
+/// capped at the cores instead of failing; output bytes are unchanged.
 #[test]
-fn oversubscribed_thread_count_clamps_to_shards() {
+fn oversubscribed_thread_count_leaves_output_unchanged() {
     let base_cfg = multi_l3_cfg(42);
     let want = fingerprint(&run_simulation(&sharded(&base_cfg, 2), Protocol::Hlsrg));
     let got = run_simulation(&threaded(&base_cfg, 2, 16), Protocol::Hlsrg);
@@ -268,7 +274,6 @@ fn zero_lookahead_config_fails_fast_when_sharded() {
 
 /// A run with the invariant oracle armed and a trace riding along for
 /// trace/counter reconciliation: its report and first violation.
-#[cfg(feature = "check")]
 fn checked(
     cfg: &SimConfig,
     protocol: Protocol,
@@ -284,7 +289,6 @@ fn checked(
 
 /// With the oracle armed, sharded runs stay violation-free (including the
 /// shard-handoff conservation audit) and report identical counters.
-#[cfg(feature = "check")]
 #[test]
 fn checked_sharded_runs_are_clean_and_identical() {
     for protocol in [Protocol::Hlsrg, Protocol::Rlsmp] {
@@ -306,7 +310,6 @@ fn checked_sharded_runs_are_clean_and_identical() {
 
 /// The invariant oracle also stays silent under the thread matrix, and the
 /// checked counters match the single-shard run byte for byte.
-#[cfg(feature = "check")]
 #[test]
 fn checked_threaded_runs_are_clean_and_identical() {
     let base_cfg = multi_l3_cfg(42);
